@@ -25,6 +25,7 @@ from .actions import TxSequence
 from .reports import (
     TIMESTAMP_FIELD,
     ReportError,
+    config_from_dict,
     parse_report,
     proof_from_dict,
     result_to_dict,
@@ -136,11 +137,11 @@ def cmd_replay(args) -> int:
         return 1
     try:
         proofs = [
-            (run_entry["scenario"], proof_from_dict(p))
+            (run_entry["scenario"], config_from_dict(run_entry["config"]), proof_from_dict(p))
             for run_entry in runs
             for p in run_entry.get("proofs", [])
         ]
-    except (ReportError, KeyError, TypeError) as e:
+    except (ReportError, KeyError, TypeError, AttributeError) as e:
         print(f"error: malformed proof payload: {e}", file=sys.stderr)
         return 1
     if not proofs:
@@ -148,7 +149,7 @@ def cmd_replay(args) -> int:
         return 1
 
     status = 0
-    for run_scenario, proof in proofs:
+    for run_scenario, config, proof in proofs:
         if run_scenario != scenario.name:
             print(
                 f"error: proof was recorded for scenario {run_scenario!r}, "
@@ -157,7 +158,15 @@ def cmd_replay(args) -> int:
             )
             return 1
         seq = TxSequence(list(proof.txs), proof.pricing_token)
-        replayed = replay_profit(scenario, seq, full_accounting=True)
+        # each proof is replayed under the accounting mode and length cap of
+        # the run that found it
+        try:
+            replayed = replay_profit(
+                scenario, seq, full_accounting=not config.no_acc, max_len=config.max_len
+            )
+        except ValueError as e:
+            print(f"error: {e}", file=sys.stderr)
+            return 1
         if replayed == proof.profit:
             print(f"ok: profit {proof.profit} reproduced")
         else:

@@ -298,11 +298,12 @@ def run_campaign(scenario: Scenario, config: CampaignConfig) -> CampaignResult:
     cand_cum: list[int] = []
     cand_dirty = True
 
-    def entry_weight(criteria: tuple) -> int:
+    def entry_weight(criteria: tuple, total: int) -> int:
+        """Selection weight of a candidate entry; `total` is the sum of the
+        campaign's criterion counts."""
         counts = stats.candidate_counts
         if not criteria or not counts:
             return config.candidate_weight
-        total = sum(counts.values())
         rarest = min(counts.get(c, 1) for c in criteria)
         boost = min(config.max_rarity_boost, max(1, total // max(1, rarest)))
         return config.candidate_weight * boost
@@ -312,8 +313,9 @@ def run_campaign(scenario: Scenario, config: CampaignConfig) -> CampaignResult:
         if elite and rng.random() < config.elite_bias:
             return rng.choice(elite)[2]
         if cand_dirty or it % 32 == 0:
+            total = sum(stats.candidate_counts.values())
             cand_cum = list(
-                itertools.accumulate(entry_weight(c) for _, c in candidates_tier)
+                itertools.accumulate(entry_weight(c, total) for _, c in candidates_tier)
             )
             cand_dirty = False
         cand_total = cand_cum[-1] if cand_cum else 0

@@ -76,6 +76,35 @@ def test_replay_rejects_wrong_scenario_and_bad_input(mint_report, tmp_path):
     assert run_cli("replay", "--proof", str(garbage), "--scenario", "public_mint") == 1
 
 
+@pytest.mark.parametrize("ablation", ["none", "noact", "nocdt", "noacc", "nogrd"])
+def test_replay_reproduces_every_variant(ablation, tmp_path, capsys):
+    """Replay reads each run's recorded config: a noacc proof's profit is a raw
+    pricing-token delta, which full accounting would value differently."""
+    path = tmp_path / f"{ablation}.json"
+    code = run_cli(
+        "run", "--scenario", "public_mint", "--seed", "2", "--iterations", "300",
+        "--sgd-budget", "200", "--ablation", ablation, "--out", str(path),
+    )
+    assert code == 0
+    capsys.readouterr()
+    assert run_cli("replay", "--proof", str(path), "--scenario", "public_mint") == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines and all(line.startswith("ok: profit") for line in lines)
+
+
+def test_replay_rejects_malformed_run_configs(mint_report, tmp_path):
+    report = parse_report(mint_report.read_text())
+    config = report["runs"][0]["config"]
+    for broken in (None, [], {"seed": "1"}, {**config, "max_len": "0"}):
+        if broken is None:
+            report["runs"][0].pop("config")
+        else:
+            report["runs"][0]["config"] = broken
+        path = tmp_path / "broken.json"
+        path.write_text(serialize_report(report))
+        assert run_cli("replay", "--proof", str(path), "--scenario", "public_mint") == 1
+
+
 def test_repeat_runs_consecutive_seeds(tmp_path):
     out = tmp_path / "multi.json"
     code = run_cli(

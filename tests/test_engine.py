@@ -13,6 +13,7 @@ from popfuzz.engine import (
     sequence_structure,
     verify_result,
 )
+from popfuzz.oracle import account
 from popfuzz.reports import result_to_dict, serialize_report
 from popfuzz.scenarios import builtin_scenario
 from popfuzz.world import RawCall, Transaction, execute_sequence
@@ -110,6 +111,20 @@ def test_replay_profit_of_a_neutral_sequence_is_zero(mint_scenario):
         [Transaction(sc.attacker, RawCall(usd, "approve", (sc.attacker, 5)))], usd
     )
     assert replay_profit(sc, seq) == 0
+
+
+def test_replay_profit_matches_accounting_delta(mint_scenario):
+    sc = mint_scenario
+    usd, mnt = sc.token_address("USD"), sc.token_address("MNT")
+    mint = Transaction(sc.attacker, RawCall(mnt, "mint", (sc.attacker, 1_000_000)))
+    seq = TxSequence([mint], usd)
+    state = sc.build_state()
+    receipt = execute_sequence(state, seq.txs)
+    for full in (True, False):
+        initial = account(state, usd, sc.cluster, full).value
+        final = account(receipt.state, usd, sc.cluster, full).value
+        assert replay_profit(sc, seq, full_accounting=full) == final - initial
+    assert replay_profit(sc, seq) > 0
 
 
 def test_profit_timeline_is_strictly_improving(mint_scenario):
