@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .amm import ROUTER_ADDRESS, get_amount_out
-from .world import Address, RawCall, Transaction, WorldState
+from .world import Address, RawCall, Revert, Transaction, WorldState
 
 MAX_SEQUENCE_LEN = 16
 
@@ -118,7 +118,8 @@ class LoweredPairSwap:
 def lower_action(spec: ActionSpec, state: WorldState, sender: Address):
     """Lower an action to primitive calls against the live state.
 
-    Lowering always succeeds; the emitted calls may still revert at execution.
+    Lowering reverts only on a macro it cannot expand (unknown name, wrong
+    argument count); the emitted calls may still revert at execution.
     """
     if spec.kind == A1_TRANSFER_PCT:
         amount = state.balance_of(spec.token, sender) * spec.percentage // 100
@@ -188,7 +189,11 @@ def lower_action(spec: ActionSpec, state: WorldState, sender: Address):
         ]
 
     if spec.kind == MACRO:
-        macro = state.macros[spec.macro]
+        macro = state.macros.get(spec.macro)
+        if macro is None:
+            raise Revert("unknown macro")
+        if len(spec.args) != len(macro.param_types):
+            raise Revert("bad args")
         calls = []
         for target, fn, template in macro.calls:
             args = []

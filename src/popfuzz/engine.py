@@ -34,6 +34,16 @@ from .scenarios import Scenario, merge_victim_txs
 from .world import ExecutionReceipt, RawCall, Transaction, execute_sequence
 
 
+# engine variant -> the CampaignConfig flags that select it
+VARIANT_FLAGS = {
+    "full": {},
+    "noact": {"no_act": True},
+    "nocdt": {"no_cdt": True},
+    "noacc": {"no_acc": True},
+    "nogrd": {"no_grd": True},
+}
+
+
 @dataclass(frozen=True)
 class CampaignConfig:
     seed: int = 1
@@ -180,9 +190,11 @@ def outcome_signature(seq: TxSequence, receipt: ExecutionReceipt) -> tuple:
 # --- execution and profit ----------------------------------------------------
 
 
-def execute_with_victims(scenario: Scenario, base_state, seq: TxSequence, max_len: int):
+def execute_with_victims(
+    scenario: Scenario, base_state, seq: TxSequence, max_len: int, stop_at_dead: bool = False
+):
     txs, logical, flags = merge_victim_txs(seq.txs, scenario.victim_txs)
-    return execute_sequence(base_state, txs, max_len, logical, flags)
+    return execute_sequence(base_state, txs, max_len, logical, flags, stop_at_dead=stop_at_dead)
 
 
 def replay_profit(
@@ -239,17 +251,21 @@ def run_campaign(scenario: Scenario, config: CampaignConfig) -> CampaignResult:
     optimized_structures: set = set()
     seen_signatures: set = set()
 
-    def execute(seq: TxSequence) -> ExecutionReceipt:
-        receipt = execute_with_victims(scenario, base, seq, config.max_len)
-        stats.executed_txs += len(receipt.outcomes)
-        return receipt
+    # a full run has one outcome per repeat of every attacker and victim tx
+    victim_repeats = sum(v.tx.repeat for v in scenario.victim_txs)
+
+    def execute(seq: TxSequence, stop_at_dead: bool = False) -> ExecutionReceipt:
+        stats.executed_txs += victim_repeats + sum(tx.repeat for tx in seq.txs)
+        return execute_with_victims(scenario, base, seq, config.max_len, stop_at_dead)
 
     def profit_of(seq: TxSequence, receipt: ExecutionReceipt) -> int:
         final = account(receipt.state, seq.pricing_token, cluster, full_acc).value
         return final - initial_values[seq.pricing_token]
 
     def sgd_objective(seq: TxSequence) -> Optional[int]:
-        receipt = execute(seq)
+        # a dead attacker transaction makes the objective undefined, so the
+        # run can stop at the first one
+        receipt = execute(seq, stop_at_dead=True)
         if _fully_reverted(seq, receipt):
             return None
         return profit_of(seq, receipt)

@@ -28,7 +28,7 @@ from .actions import (
     Universe,
     random_amount,
 )
-from .world import RawCall, UINT_MAX
+from .world import RawCall, Transaction, UINT_MAX
 
 GROW = "grow"
 SHRINK = "shrink"
@@ -277,34 +277,52 @@ def get_variable(seq: TxSequence, ref: VariableRef) -> int:
     raise ValueError(f"bad variable path {p!r}")
 
 
-def set_variable(seq: TxSequence, ref: VariableRef, value: int) -> TxSequence:
-    out = seq.copy()
-    tx = out.txs[ref.tx_index]
-    p = ref.path
-    if p[0] == "repeat":
-        out.txs[ref.tx_index] = replace(tx, repeat=value)
-    elif p[0] == "value":
-        out.txs[ref.tx_index] = replace(tx, value=value)
-    elif p[0] in ("arg", "macro_arg"):
-        args = list(tx.kind.args)
-        args[p[1]] = value
-        out.txs[ref.tx_index] = replace(tx, kind=replace(tx.kind, args=tuple(args)))
-    elif p[0] == "pct":
-        out.txs[ref.tx_index] = replace(tx, kind=replace(tx.kind, percentage=value))
-    elif p[0] == "body_pct":
-        body = list(tx.kind.body)
-        body[p[1]] = replace(body[p[1]], kind=replace(body[p[1]].kind, percentage=value))
-        out.txs[ref.tx_index] = replace(tx, kind=replace(tx.kind, body=tuple(body)))
-    else:
-        raise ValueError(f"bad variable path {p!r}")
-    return out
-
-
 def apply_vector(seq: TxSequence, refs: list[VariableRef], x: list) -> TxSequence:
-    out = seq
+    """The sequence with each variable in `refs` set to its value in `x`.
+
+    Changed values are grouped by transaction, so each changed transaction is
+    rebuilt once; the others are shared with `seq`, which is left untouched.
+    """
+    changed: dict[int, list] = {}
     for ref, v in zip(refs, x):
-        out = set_variable(out, ref, v)
-    return out
+        if get_variable(seq, ref) != v:
+            changed.setdefault(ref.tx_index, []).append((ref.path, v))
+    txs = list(seq.txs)
+    for i, updates in changed.items():
+        tx = txs[i]
+        kind = tx.kind
+        value, repeat = tx.value, tx.repeat
+        args = body = None
+        kind_fields = {}
+        for path, v in updates:
+            tag = path[0]
+            if tag == "repeat":
+                repeat = v
+            elif tag == "value":
+                value = v
+            elif tag in ("arg", "macro_arg"):
+                if args is None:
+                    args = list(kind.args)
+                args[path[1]] = v
+            elif tag == "pct":
+                kind_fields["percentage"] = v
+            elif tag == "body_pct":
+                if body is None:
+                    body = list(kind.body)
+                inner = body[path[1]]
+                body[path[1]] = replace(inner, kind=replace(inner.kind, percentage=v))
+        if isinstance(kind, RawCall):
+            if args is not None:
+                kind = RawCall(kind.target, kind.fn, tuple(args))
+        else:
+            if args is not None:
+                kind_fields["args"] = tuple(args)
+            if body is not None:
+                kind_fields["body"] = tuple(body)
+            if kind_fields:
+                kind = replace(kind, **kind_fields)
+        txs[i] = Transaction(tx.sender, kind, value, repeat)
+    return TxSequence(txs, seq.pricing_token)
 
 
 def _randomize(ref: VariableRef, rng: random.Random, universe: Universe) -> int:

@@ -11,7 +11,7 @@ import json
 from typing import Any
 
 from .actions import ActionSpec
-from .engine import CampaignConfig, CampaignResult, CampaignStats, Proof
+from .engine import VARIANT_FLAGS, CampaignConfig, CampaignResult, CampaignStats, Proof
 from .world import NATIVE, RawCall, Transaction
 
 
@@ -147,12 +147,8 @@ def config_to_dict(config: CampaignConfig) -> dict:
 
 def config_from_dict(d: dict) -> CampaignConfig:
     variant = d.get("variant", "full")
-    flags = {
-        "no_act": variant == "noact",
-        "no_cdt": variant == "nocdt",
-        "no_acc": variant == "noacc",
-        "no_grd": variant == "nogrd",
-    }
+    if not isinstance(variant, str) or variant not in VARIANT_FLAGS:
+        raise ReportError(f"unknown engine variant {variant!r}")
     try:
         return CampaignConfig(
             seed=int(d["seed"]),
@@ -161,7 +157,7 @@ def config_from_dict(d: dict) -> CampaignConfig:
             sgd_budget=int(d["sgd_budget"]),
             sgd_total_budget=int(d["sgd_total_budget"]),
             sgd_restarts=int(d["sgd_restarts"]),
-            **flags,
+            **VARIANT_FLAGS[variant],
         )
     except (KeyError, TypeError, ValueError) as e:
         raise ReportError(f"malformed config entry: {e}") from e

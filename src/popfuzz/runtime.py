@@ -22,6 +22,7 @@ from .world import (
     RawCall,
     Revert,
     UINT_MAX,
+    _addr,
     checked_mul,
     erc20_call,
     set_dispatcher,
@@ -34,12 +35,6 @@ MAX_CALL_DEPTH = 8
 def _uint(x) -> int:
     if not isinstance(x, int) or isinstance(x, bool) or x < 0 or x > UINT_MAX:
         raise Revert("bad amount")
-    return x
-
-
-def _addr(x) -> Address:
-    if not isinstance(x, str):
-        raise Revert("bad address")
     return x
 
 

@@ -374,50 +374,61 @@ def erc20_call(ctx: CallContext, token: Address, fn: str, args: tuple):
     tdef = state.tokens.get(token)
     if tdef is None:
         raise Revert("unknown token")
-    if fn == "transfer":
-        to, amount = args
-        _check_amount(amount)
-        token_transfer(ctx, token, ctx.sender, to, amount)
-        return True
-    if fn == "approve":
-        spender, amount = args
-        _check_amount(amount)
-        state.set_allowance(token, ctx.sender, spender, amount)
-        return True
-    if fn == "transferFrom":
-        src, dst, amount = args
-        _check_amount(amount)
-        allowed = state.allowance(token, src, ctx.sender)
-        if allowed < amount:
-            raise Revert("insufficient allowance")
-        state.set_allowance(token, src, ctx.sender, allowed - amount)
-        token_transfer(ctx, token, src, dst, amount)
-        return True
-    if fn == "balanceOf":
-        (holder,) = args
-        return state.balance_of(token, holder)
-    if fn == "totalSupply":
-        return state.supplies.get(token, 0)
-    if fn == "mint":
-        if not tdef.public_mint:
-            raise Revert("mint not allowed")
-        to, amount = args
-        _check_amount(amount)
-        token_mint(ctx, token, to, amount)
-        return True
-    if fn == "burn":
-        if not tdef.public_burn:
-            raise Revert("burn not allowed")
-        src, amount = args
-        _check_amount(amount)
-        token_burn(ctx, token, src, amount)
-        return True
+    try:
+        if fn == "transfer":
+            to, amount = args
+            _check_amount(amount)
+            token_transfer(ctx, token, ctx.sender, _addr(to), amount)
+            return True
+        if fn == "approve":
+            spender, amount = args
+            _check_amount(amount)
+            state.set_allowance(token, ctx.sender, _addr(spender), amount)
+            return True
+        if fn == "transferFrom":
+            src, dst, amount = args
+            _check_amount(amount)
+            allowed = state.allowance(token, _addr(src), ctx.sender)
+            if allowed < amount:
+                raise Revert("insufficient allowance")
+            state.set_allowance(token, src, ctx.sender, allowed - amount)
+            token_transfer(ctx, token, src, _addr(dst), amount)
+            return True
+        if fn == "balanceOf":
+            (holder,) = args
+            return state.balance_of(token, _addr(holder))
+        if fn == "totalSupply":
+            if args:
+                raise Revert("bad args")
+            return state.supplies.get(token, 0)
+        if fn == "mint":
+            if not tdef.public_mint:
+                raise Revert("mint not allowed")
+            to, amount = args
+            _check_amount(amount)
+            token_mint(ctx, token, _addr(to), amount)
+            return True
+        if fn == "burn":
+            if not tdef.public_burn:
+                raise Revert("burn not allowed")
+            src, amount = args
+            _check_amount(amount)
+            token_burn(ctx, token, _addr(src), amount)
+            return True
+    except ValueError:  # wrong number of arguments
+        raise Revert("bad args")
     raise Revert("unknown function")
 
 
 def _check_amount(amount) -> None:
     if not isinstance(amount, int) or isinstance(amount, bool) or amount < 0 or amount > UINT_MAX:
         raise Revert("bad amount")
+
+
+def _addr(x) -> Address:
+    if not isinstance(x, str):
+        raise Revert("bad address")
+    return x
 
 
 # --- transactions ----------------------------------------------------------
@@ -475,11 +486,17 @@ def execute_sequence(
     max_len: int = 16,
     logical_indices: Optional[list[int]] = None,
     victim_flags: Optional[list[bool]] = None,
+    *,
+    stop_at_dead: bool = False,
 ) -> ExecutionReceipt:
     """Run a transaction list over a copy of `state`.
 
     Each repeat of a transaction is an independent transaction: a failing
-    repetition reverts only itself. Execution continues past reverts.
+    repetition reverts only itself. Execution continues past reverts, unless
+    `stop_at_dead` is set: then it stops as soon as the first repeat of a
+    non-victim transaction reverts, since that transaction can never succeed.
+    The receipt then ends with that transaction's outcomes, every list in it
+    is a prefix of the full run's, and its state is the state at the stop.
     """
     n_logical = len(txs) if victim_flags is None else sum(1 for v in victim_flags if not v)
     if n_logical > max_len:
@@ -542,6 +559,11 @@ def execute_sequence(
                 if r0 != b0 or r1 != b1 or k_decreased:
                     pair_checks.append(PairCheck(addr, r0, r1, b0, b1, k_decreased, tx_index))
             tx_index += 1
+        else:
+            continue
+        # repeat `rep` reverted; if it was the first, the rest were short-circuited
+        if stop_at_dead and rep == 0 and not is_victim:
+            break
 
     work.journal = None
     return ExecutionReceipt(outcomes, events, native_flows, pair_checks, work)

@@ -95,7 +95,9 @@ def test_replay_reproduces_every_variant(ablation, tmp_path, capsys):
 def test_replay_rejects_malformed_run_configs(mint_report, tmp_path):
     report = parse_report(mint_report.read_text())
     config = report["runs"][0]["config"]
-    for broken in (None, [], {"seed": "1"}, {**config, "max_len": "0"}):
+    # a mistyped variant is an input error, not a full-engine replay
+    for broken in (None, [], {"seed": "1"}, {**config, "max_len": "0"},
+                   {**config, "variant": "no-acc"}):
         if broken is None:
             report["runs"][0].pop("config")
         else:

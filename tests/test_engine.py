@@ -170,3 +170,36 @@ def test_record_schedule_collects_lawful_entries():
     entries = [e for sched in result.schedules for e in sched]
     assert len(entries) > 100
     assert all(schedule_law_holds(e) for e in entries)
+
+
+@pytest.mark.parametrize("name", ["rounding_vault", "fee_transfer"])
+def test_early_exit_leaves_the_campaign_unchanged(name, monkeypatch):
+    """The optimizer's evaluations stop at their first dead transaction; a
+    campaign that runs every evaluation to the end reports the same bytes,
+    `executed_txs` included. rounding_vault merges victim transactions."""
+    sc = builtin_scenario(name)
+    config = CampaignConfig(seed=3, iterations=400, sgd_budget=300, sgd_total_budget=1200)
+    early = run_campaign(sc, config)
+    lengths, replaying = [], []
+
+    def run_to_the_end(*args, stop_at_dead=False, **kwargs):
+        receipt = execute_sequence(*args, **kwargs)
+        if not replaying:
+            lengths.append(len(receipt.outcomes))
+        return receipt
+
+    def replay(*args, **kwargs):
+        replaying.append(True)
+        try:
+            return replay_profit(*args, **kwargs)
+        finally:
+            replaying.pop()
+
+    monkeypatch.setattr("popfuzz.engine.execute_sequence", run_to_the_end)
+    monkeypatch.setattr("popfuzz.engine.replay_profit", replay)
+    full = run_campaign(sc, config)
+    assert early.stats.sgd_evals > 0
+    assert full.stats.executed_txs == sum(lengths)
+    assert serialize_report(result_to_dict(name, early)) == serialize_report(
+        result_to_dict(name, full)
+    )

@@ -1,13 +1,15 @@
 """The journaled executor: a differential test against the whole-state-copy
-reference executor, and unit tests that a repeat which writes and then
-reverts leaves the world exactly as the successful prefix left it."""
+reference executor, unit tests that a repeat which writes and then reverts
+leaves the world exactly as the successful prefix left it, and the early exit
+at the first dead attacker transaction against the full run."""
 
 import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from popfuzz.actions import A4_PAIR_SWAP, ActionSpec, random_transaction
+from popfuzz.actions import A4_PAIR_SWAP, ActionSpec, TxSequence, random_transaction
+from popfuzz.engine import _fully_reverted
 from popfuzz.scenarios import builtin_names, builtin_scenario, merge_victim_txs, scenario_from_dict
 from popfuzz.world import RawCall, Transaction, execute_sequence, make_address
 from reference_executor import execute_sequence_reference
@@ -181,3 +183,70 @@ def test_unstake_revert_restores_deleted_stake():
         base, prefix, Transaction(sc.attacker, RawCall(pool, "unstake", (stake_id,))), "underflow"
     )
     assert receipt.state.contracts[pool].storage[("stake", stake_id)] == (sc.attacker, 10_000)
+
+
+# --- early exit at the first dead attacker transaction -----------------------------
+
+
+def _assert_prefix_receipt(early, full):
+    for name in ("events", "native_flows", "pair_checks"):
+        got, want = getattr(early, name), getattr(full, name)
+        assert got == want[: len(got)], name
+    assert _outcome_rows(early) == _outcome_rows(full)[: len(early.outcomes)]
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.sampled_from(ALL_SCENARIOS),
+    st.integers(min_value=0, max_value=2**32),
+    st.integers(min_value=1, max_value=16),
+    st.booleans(),
+)
+def test_early_exit_matches_full_run(name, seed, length, noact):
+    scenario, base, universe = _SCENARIOS[name], _BASES[name], _UNIVERSES[name]
+    rng = random.Random(seed)
+    attacker_txs = [random_transaction(rng, universe, noact) for _ in range(length)]
+    seq = TxSequence(attacker_txs, universe.pricing_tokens[0])
+    txs, logical, flags = merge_victim_txs(attacker_txs, scenario.victim_txs)
+    full = execute_sequence(base, txs, 16, logical, flags)
+    early = execute_sequence(base, txs, 16, logical, flags, stop_at_dead=True)
+    victim_repeats = sum(v.tx.repeat for v in scenario.victim_txs)
+    assert len(full.outcomes) == victim_repeats + sum(tx.repeat for tx in attacker_txs)
+    assert early.state.journal is None
+    dead = _fully_reverted(seq, full)
+    assert _fully_reverted(seq, early) == dead
+    if not dead:
+        assert_same_receipt(early, full)
+        return
+    _assert_prefix_receipt(early, full)
+    # the run stopped right after the first attacker transaction whose first
+    # repeat reverted, in the state that the transactions before it left
+    last = early.outcomes[-1]
+    assert not last.ok and not last.is_victim
+    stop = logical.index(last.logical_index)
+    assert len(early.outcomes) == sum(tx.repeat for tx in txs[: stop + 1])
+    upto = execute_sequence(base, txs[: stop + 1], 16, logical[: stop + 1], flags[: stop + 1])
+    assert_same_receipt(early, upto)
+
+
+def test_early_exit_passes_victim_reverts_and_later_repeat_reverts():
+    sc = builtin_scenario("fair_pool")
+    base = sc.build_state()
+    usd = sc.token_address("USD")
+    have = base.balance_of(usd, sc.attacker)
+    dead = Transaction(sc.attacker, RawCall(usd, "transfer", (RECIPIENT, have + 1)))
+    # the first repeat moves most of the balance, the second overdraws
+    drain = Transaction(sc.attacker, RawCall(usd, "transfer", (RECIPIENT, have - 2)), repeat=2)
+    ok = Transaction(sc.attacker, RawCall(usd, "transfer", (RECIPIENT, 1)))
+    txs = [dead, drain, ok, dead, ok]
+    logical = [-1, 0, 1, 2, 3]
+    flags = [True, False, False, False, False]
+    full = execute_sequence(base, txs, 16, logical, flags)
+    early = execute_sequence(base, txs, 16, logical, flags, stop_at_dead=True)
+    assert [o.ok for o in full.outcomes] == [False, True, False, True, False, True]
+    # neither the victim's revert nor drain's second repeat stops the run
+    assert [o.ok for o in early.outcomes] == [False, True, False, True, False]
+    assert early.outcomes[-1].logical_index == 2
+    _assert_prefix_receipt(early, full)
+    assert early.state.balance_of(usd, RECIPIENT) == have - 1
+    assert early.state.journal is None

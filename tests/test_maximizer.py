@@ -4,12 +4,15 @@ revert-boundary handling, and sequence variable plumbing."""
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from popfuzz.actions import (
     A1_TRANSFER_PCT,
     MACRO,
     ActionSpec,
     TxSequence,
+    random_transaction,
 )
 from popfuzz.maximizer import (
     GROW,
@@ -25,11 +28,11 @@ from popfuzz.maximizer import (
     get_variable,
     maximize_sequence,
     schedule_law_holds,
-    set_variable,
     sgd_maximize,
 )
-from popfuzz.scenarios import builtin_scenario
+from popfuzz.scenarios import builtin_names, builtin_scenario
 from popfuzz.world import RawCall, Transaction, UINT_MAX
+from reference_maximizer import apply_vector_reference
 
 
 # --- convergence ------------------------------------------------------------------
@@ -172,8 +175,63 @@ def test_get_set_apply_round_trip(vault_universe):
     out = apply_vector(seq, refs, [99, 7])
     assert [get_variable(out, r) for r in refs] == [99, 7]
     assert get_variable(seq, refs[0]) == 55  # original untouched
-    back = set_variable(out, refs[0], 55)
+    back = apply_vector(out, refs[:1], [55])
     assert get_variable(back, refs[0]) == 55
+
+
+_SCENARIOS = tuple(builtin_names()) + ("fair_pool", "staking_id")
+_UNIVERSES = {name: builtin_scenario(name).universe() for name in _SCENARIOS}
+_ALL_PATHS = {"arg", "macro_arg", "pct", "body_pct", "value", "repeat"}
+
+
+def _random_case(name: str, seed: int, length: int, noact: bool):
+    """A random sequence, its variables, and an in-bounds vector for them that
+    keeps some values, pins some to a bound and draws the rest."""
+    universe = _UNIVERSES[name]
+    rng = random.Random(seed)
+    txs = [random_transaction(rng, universe, noact) for _ in range(length)]
+    seq = TxSequence(txs, universe.pricing_tokens[0])
+    refs = extract_variables(seq, universe)
+    x = []
+    for ref in refs:
+        roll = rng.random()
+        if roll < 0.4:
+            x.append(get_variable(seq, ref))
+        elif roll < 0.5:
+            x.append(rng.choice((ref.lo, ref.hi)))
+        else:
+            x.append(rng.randint(ref.lo, ref.hi))
+    return seq, refs, x
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.sampled_from(_SCENARIOS),
+    st.integers(min_value=0, max_value=2**32),
+    st.integers(min_value=1, max_value=8),
+    st.booleans(),
+)
+def test_apply_vector_matches_reference_fold(name, seed, length, noact):
+    seq, refs, x = _random_case(name, seed, length, noact)
+    txs_before = list(seq.txs)
+    out = apply_vector(seq, refs, x)
+    assert out == apply_vector_reference(seq, refs, x)
+    assert [get_variable(out, r) for r in refs] == x
+    assert all(a is b for a, b in zip(seq.txs, txs_before))  # the input is untouched
+    assert len(seq.txs) == len(txs_before)
+    changed = {r.tx_index for r, v in zip(refs, x) if get_variable(seq, r) != v}
+    for i, tx in enumerate(seq.txs):
+        if i not in changed:
+            assert out.txs[i] is tx  # unchanged transactions are shared
+
+
+def test_apply_vector_cases_reach_every_variable_kind():
+    seen = set()
+    for seed in range(200):
+        name = _SCENARIOS[seed % len(_SCENARIOS)]
+        _seq, refs, _x = _random_case(name, seed, 8, seed % 5 == 0)
+        seen.update(r.path[0] for r in refs)
+    assert seen == _ALL_PATHS
 
 
 def test_maximize_sequence_climbs_an_argument(vault_universe):

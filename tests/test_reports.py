@@ -72,6 +72,14 @@ def test_config_round_trip_covers_every_variant():
         assert (back.seed, back.iterations) == (3, 10)
 
 
+@pytest.mark.parametrize("variant", ["no-acc", "FULL", "", None, ["noacc"]])
+def test_config_rejects_unknown_variants(variant):
+    d = config_to_dict(CampaignConfig())
+    d["variant"] = variant
+    with pytest.raises(ReportError, match="unknown engine variant"):
+        config_from_dict(d)
+
+
 @pytest.mark.parametrize(
     "payload",
     [
