@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
-from fractions import Fraction
 
 from .amm import ROUTER_ADDRESS, get_amount_out
 from .world import Address, RawCall, Revert, Transaction, WorldState
@@ -455,12 +454,3 @@ def splice(a: TxSequence, b: TxSequence, rng: random.Random) -> TxSequence:
         txs = [a.txs[0]]
     return TxSequence(txs, a.pricing_token)
 
-
-def probability_of_valid_raw_amount(balance: int) -> Fraction:
-    """Chance a uniform 256-bit draw is a positive transferable amount."""
-    if balance <= 0:
-        return Fraction(0)
-    return Fraction(min(balance, UINT_RANGE), UINT_RANGE)
-
-
-UINT_RANGE = 2**256 - 1

@@ -34,14 +34,6 @@ from .reports import (
 from .scenarios import Scenario, ScenarioError, builtin_names, builtin_scenario, load_scenario
 from .suite import SUITE_SEEDS, VARIANTS, run_suite
 
-_ABLATION_FLAGS = {
-    "none": {},
-    "noact": {"no_act": True},
-    "nocdt": {"no_cdt": True},
-    "noacc": {"no_acc": True},
-    "nogrd": {"no_grd": True},
-}
-
 
 def _load_scenario_ref(ref: str) -> Scenario:
     try:
@@ -89,7 +81,7 @@ def cmd_run(args) -> int:
             iterations=args.iterations,
             sgd_budget=args.sgd_budget,
             record_schedule=args.emit_schedule,
-            **_ABLATION_FLAGS[args.ablation],
+            variant="full" if args.ablation == "none" else args.ablation,
         )
     except (ScenarioError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
@@ -162,7 +154,7 @@ def cmd_replay(args) -> int:
         # the run that found it
         try:
             replayed = replay_profit(
-                scenario, seq, full_accounting=not config.no_acc, max_len=config.max_len
+                scenario, seq, full_accounting=config.variant != "noacc", max_len=config.max_len
             )
         except ValueError as e:
             print(f"error: {e}", file=sys.stderr)
@@ -226,7 +218,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int, default=1)
     run.add_argument("--iterations", type=int, default=4000)
     run.add_argument("--sgd-budget", type=int, default=2000)
-    run.add_argument("--ablation", choices=sorted(_ABLATION_FLAGS), default="none")
+    run.add_argument("--ablation", choices=("none",) + VARIANTS, default="full",
+                     help="engine variant ('none' is 'full')")
     run.add_argument("--out", help="report path (default: stdout)")
     run.add_argument("--emit-schedule", action="store_true",
                      help="include convergence table and SGD step schedules")

@@ -34,14 +34,12 @@ from .scenarios import Scenario, merge_victim_txs
 from .world import ExecutionReceipt, RawCall, Transaction, execute_sequence
 
 
-# engine variant -> the CampaignConfig flags that select it
-VARIANT_FLAGS = {
-    "full": {},
-    "noact": {"no_act": True},
-    "nocdt": {"no_cdt": True},
-    "noacc": {"no_acc": True},
-    "nogrd": {"no_grd": True},
-}
+# The full engine and its ablations, each of which drops one layer:
+#   noact  raw calls only, uniform integer arguments
+#   nocdt  positive profit is the only candidate criterion
+#   noacc  raw pricing-token balance instead of liquidation value
+#   nogrd  no argument optimization of candidates
+VARIANTS = ("full", "noact", "nocdt", "noacc", "nogrd")
 
 
 @dataclass(frozen=True)
@@ -59,23 +57,12 @@ class CampaignConfig:
     elite_bias: float = 0.4  # share of selections drawn from the elite set
     splice_bias: float = 0.1  # share of children built by crossover before mutation
     max_rarity_boost: int = 32  # cap on the rare-criterion selection multiplier
-    no_act: bool = False  # raw calls only, uniform integer arguments
-    no_cdt: bool = False  # PositiveProfit is the only candidate criterion
-    no_acc: bool = False  # raw pricing balance instead of liquidation value
-    no_grd: bool = False  # no gradient optimization of candidates
+    variant: str = "full"  # one of VARIANTS
     record_schedule: bool = False
 
-    @property
-    def variant(self) -> str:
-        if self.no_act:
-            return "noact"
-        if self.no_cdt:
-            return "nocdt"
-        if self.no_acc:
-            return "noacc"
-        if self.no_grd:
-            return "nogrd"
-        return "full"
+    def __post_init__(self):
+        if self.variant not in VARIANTS:
+            raise ValueError(f"unknown engine variant {self.variant!r}")
 
 
 @dataclass
@@ -238,7 +225,8 @@ def run_campaign(scenario: Scenario, config: CampaignConfig) -> CampaignResult:
     base = scenario.build_state()
     universe = scenario.universe()
     cluster = scenario.cluster
-    full_acc = not config.no_acc
+    full_acc = config.variant != "noacc"
+    noact = config.variant == "noact"
     initial_values = {
         p: account(base, p, cluster, full_acc).value for p in universe.pricing_tokens
     }
@@ -310,7 +298,7 @@ def run_campaign(scenario: Scenario, config: CampaignConfig) -> CampaignResult:
     # selected candidate_weight x as often as novel entries, boosted further
     # when their rarest criterion is underrepresented in the campaign so far.
     candidates_tier: list[tuple[TxSequence, tuple]] = []
-    novel_tier: list[TxSequence] = [seed_sequence(rng, universe, config.no_act)]
+    novel_tier: list[TxSequence] = [seed_sequence(rng, universe, noact)]
     cand_cum: list[int] = []
     cand_dirty = True
 
@@ -337,7 +325,7 @@ def run_campaign(scenario: Scenario, config: CampaignConfig) -> CampaignResult:
         cand_total = cand_cum[-1] if cand_cum else 0
         total = cand_total + len(novel_tier)
         if total == 0:
-            return seed_sequence(rng, universe, config.no_act)
+            return seed_sequence(rng, universe, noact)
         roll = rng.randrange(total)
         if roll < cand_total:
             return candidates_tier[bisect.bisect_right(cand_cum, roll)][0]
@@ -363,13 +351,13 @@ def run_campaign(scenario: Scenario, config: CampaignConfig) -> CampaignResult:
             if other is not None and other is not parent:
                 parent = splice(parent, other, rng)
 
-        child = mutate(parent, rng, universe, config.no_act)
+        child = mutate(parent, rng, universe, noact)
         while rng.random() < 0.3:
-            child = mutate(child, rng, universe, config.no_act)
+            child = mutate(child, rng, universe, noact)
         receipt = execute(child)
         profit = profit_of(child, receipt)
 
-        found = [] if config.no_cdt else classify(receipt, cluster)
+        found = [] if config.variant == "nocdt" else classify(receipt, cluster)
         if profit > 0:
             found.append(Candidate(POSITIVE_PROFIT, (), "accounting profit"))
         for cand in found:
@@ -400,7 +388,7 @@ def run_campaign(scenario: Scenario, config: CampaignConfig) -> CampaignResult:
         if structure in optimized_structures:
             continue
         optimized_structures.add(structure)
-        if config.no_grd:
+        if config.variant == "nogrd":
             continue
         # the campaign-wide eval budget rations speculative candidates; a
         # structure whose raw profit already beats the best found so far is
@@ -434,7 +422,7 @@ def run_campaign(scenario: Scenario, config: CampaignConfig) -> CampaignResult:
     # final polish: the in-loop optimizer only sees each structure once, at
     # admission time; give every winning sequence one more full-budget climb
     # from its best-known arguments before the campaign reports out
-    if not config.no_grd:
+    if config.variant != "nogrd":
         for token in sorted(best):
             current = best[token]
             seq = TxSequence(list(current.txs), token)
@@ -465,7 +453,7 @@ def run_campaign(scenario: Scenario, config: CampaignConfig) -> CampaignResult:
 
 def verify_result(scenario: Scenario, result: CampaignResult) -> None:
     """Re-replay every emitted proof; raises ReplayMismatch on any deviation."""
-    full_acc = not result.config.no_acc
+    full_acc = result.config.variant != "noacc"
     for proof in result.proofs:
         seq = TxSequence(list(proof.txs), proof.pricing_token)
         verified = replay_profit(scenario, seq, full_acc, result.config.max_len)

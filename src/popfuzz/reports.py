@@ -11,7 +11,7 @@ import json
 from typing import Any
 
 from .actions import ActionSpec
-from .engine import VARIANT_FLAGS, CampaignConfig, CampaignResult, CampaignStats, Proof
+from .engine import CampaignConfig, CampaignResult, CampaignStats, Proof
 from .world import NATIVE, RawCall, Transaction
 
 
@@ -38,6 +38,13 @@ def _dec_scalar(v):
         return int(v, 10)
     except ValueError as e:
         raise ReportError(f"bad integer literal {v!r}") from e
+
+
+def _name(v) -> str:
+    # addresses, function names and action fields key the world's dicts
+    if not isinstance(v, str):
+        raise ReportError(f"expected a name, got {v!r}")
+    return v
 
 
 def tx_to_dict(tx: Transaction) -> dict:
@@ -80,26 +87,26 @@ def tx_from_dict(d: dict) -> Transaction:
         if "call" in d:
             c = d["call"]
             kind: object = RawCall(
-                c["target"], c["fn"], tuple(_dec_scalar(a) for a in c["args"])
+                _name(c["target"]), _name(c["fn"]), tuple(_dec_scalar(a) for a in c["args"])
             )
         elif "action" in d:
             a = d["action"]
             kind = ActionSpec(
-                kind=a["kind"],
-                token=a["token"],
-                token2=a["token2"],
-                target=a["target"],
+                kind=_name(a["kind"]),
+                token=_name(a["token"]),
+                token2=_name(a["token2"]),
+                target=_name(a["target"]),
                 percentage=int(a["percentage"]),
-                direction=a["direction"],
+                direction=_name(a["direction"]),
                 side=int(a["side"]),
                 body=tuple(tx_from_dict(t) for t in a["body"]),
-                macro=a["macro"],
+                macro=_name(a["macro"]),
                 args=tuple(_dec_scalar(x) for x in a["args"]),
             )
         else:
             raise ReportError("transaction entry needs 'call' or 'action'")
         return Transaction(
-            sender=d["sender"],
+            sender=_name(d["sender"]),
             kind=kind,
             value=int(d["value"]),
             repeat=int(d["repeat"]),
@@ -146,9 +153,6 @@ def config_to_dict(config: CampaignConfig) -> dict:
 
 
 def config_from_dict(d: dict) -> CampaignConfig:
-    variant = d.get("variant", "full")
-    if not isinstance(variant, str) or variant not in VARIANT_FLAGS:
-        raise ReportError(f"unknown engine variant {variant!r}")
     try:
         return CampaignConfig(
             seed=int(d["seed"]),
@@ -157,7 +161,7 @@ def config_from_dict(d: dict) -> CampaignConfig:
             sgd_budget=int(d["sgd_budget"]),
             sgd_total_budget=int(d["sgd_total_budget"]),
             sgd_restarts=int(d["sgd_restarts"]),
-            **VARIANT_FLAGS[variant],
+            variant=d.get("variant", "full"),
         )
     except (KeyError, TypeError, ValueError) as e:
         raise ReportError(f"malformed config entry: {e}") from e

@@ -1,7 +1,12 @@
 """Call dispatch: routes raw calls and actions to tokens, router, pairs, and
-scenario contracts. Importing this module wires the world executor."""
+scenario contracts. One table, `CALL_TABLE`, declares every callable function;
+it drives dispatch, argument checks and the mutator's call surface. Importing
+this module wires the world executor."""
 
 from __future__ import annotations
+
+from dataclasses import InitVar, dataclass, field
+from typing import Callable, Optional
 
 from .actions import ActionSpec, LoweredPairSwap, lower_action
 from .amm import (
@@ -17,33 +22,133 @@ from .amm import (
 )
 from .world import (
     Address,
+    BURN_ADDRESS,
     CallContext,
     ContractState,
     RawCall,
     Revert,
     UINT_MAX,
-    _addr,
+    ZERO_ADDRESS,
+    checked_add,
     checked_mul,
-    erc20_call,
+    checked_sub,
     set_dispatcher,
     token_transfer,
 )
 
 MAX_CALL_DEPTH = 8
 
+ADDRESS = "address"
+UINT = "uint"
 
-def _uint(x) -> int:
-    if not isinstance(x, int) or isinstance(x, bool) or x < 0 or x > UINT_MAX:
-        raise Revert("bad amount")
-    return x
+# Argument checks as source lines, one per declared type; {0} is the argument.
+_ARG_CHECKS = {
+    ADDRESS: "    if not isinstance({0}, str):\n        raise Revert('bad address')",
+    UINT: (
+        "    if not isinstance({0}, int) or isinstance({0}, bool) or {0} < 0 or {0} > UINT_MAX:\n"
+        "        raise Revert('bad amount')"
+    ),
+}
+
+
+def _compile_invoke(handler: Callable, arg_types: tuple, takes_target: bool) -> Callable:
+    """Build `invoke(ctx, target, args)`: check the arity (`bad args`) and each
+    argument's type in order, then call `handler(ctx, target, *args)`, or
+    `handler(ctx, *args)` when it takes no target. Like the `__init__` that
+    `dataclasses` writes, the checks are generated once, as straight-line code,
+    so a call pays no loop and no function call per argument."""
+    names = [f"a{i}" for i in range(len(arg_types))]
+    if names:
+        unpack = f"    try:\n        {', '.join(names)}, = args\n    except ValueError:\n"
+        unpack += "        raise Revert('bad args') from None"
+    else:
+        unpack = "    if args:\n        raise Revert('bad args')"
+    checks = [_ARG_CHECKS[t].format(name) for name, t in zip(names, arg_types)]
+    call = ", ".join(["ctx"] + ["target"] * takes_target + names)
+    body = [unpack, *checks, f"    return handler({call})"]
+    source = "\n".join(["def invoke(ctx, target, args):", *body])
+    namespace = {"handler": handler, "Revert": Revert, "UINT_MAX": UINT_MAX}
+    exec(source, namespace)
+    return namespace["invoke"]
+
+
+@dataclass(frozen=True, slots=True)
+class CallEntry:
+    """One callable function: its handler, its argument types (`ADDRESS` or
+    `UINT`), whether the mutator may send it native value, whether the mutator
+    calls it at all, and the `TokenDef` flag, if any, without which the
+    function does not exist."""
+
+    handler: Callable
+    arg_types: tuple = ()
+    payable: bool = False
+    exposed: bool = True
+    flag: Optional[str] = None
+    takes_target: InitVar[bool] = True
+    invoke: Callable = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self, takes_target: bool):
+        invoke = _compile_invoke(self.handler, self.arg_types, takes_target)
+        object.__setattr__(self, "invoke", invoke)
+
+
+# --- ERC-20 functions --------------------------------------------------------
+
+
+def _transfer(ctx: CallContext, token: Address, to: Address, amount: int):
+    token_transfer(ctx, token, ctx.sender, to, amount)
+    return True
+
+
+def _approve(ctx: CallContext, token: Address, spender: Address, amount: int):
+    ctx.state.set_allowance(token, ctx.sender, spender, amount)
+    return True
+
+
+def _transfer_from(ctx: CallContext, token: Address, src: Address, dst: Address, amount: int):
+    state = ctx.state
+    allowed = state.allowance(token, src, ctx.sender)
+    if allowed < amount:
+        raise Revert("insufficient allowance")
+    state.set_allowance(token, src, ctx.sender, allowed - amount)
+    token_transfer(ctx, token, src, dst, amount)
+    return True
+
+
+def _balance_of(ctx: CallContext, token: Address, holder: Address):
+    return ctx.state.balance_of(token, holder)
+
+
+def _total_supply(ctx: CallContext, token: Address):
+    return ctx.state.supplies.get(token, 0)
+
+
+def _mint(ctx: CallContext, token: Address, to: Address, amount: int):
+    state = ctx.state
+    if amount == 0:
+        raise Revert("zero mint")
+    state.set_supply(token, checked_add(state.supplies.get(token, 0), amount))
+    state.set_balance(token, to, checked_add(state.balance_of(token, to), amount))
+    ctx.emit_transfer(token, ZERO_ADDRESS, to, amount)
+    return True
+
+
+def _burn(ctx: CallContext, token: Address, src: Address, amount: int):
+    # Burn is modeled as a forced transfer to the burn address so that the
+    # per-token conservation invariant (holders + burn = supply) holds.
+    state = ctx.state
+    if amount == 0:
+        raise Revert("zero burn")
+    state.set_balance(token, src, checked_sub(state.balance_of(token, src), amount))
+    state.set_balance(token, BURN_ADDRESS, checked_add(state.balance_of(token, BURN_ADDRESS), amount))
+    ctx.emit_transfer(token, src, BURN_ADDRESS, amount)
+    return True
 
 
 # --- scenario contract behaviors -------------------------------------------
 
 
-def _sale_buy_tokens(ctx: CallContext, contract: ContractState, args):
-    (n,) = args
-    n = _uint(n)
+def _sale_buy_tokens(ctx: CallContext, contract: ContractState, n: int):
     price = contract.storage["price"]
     unit = contract.storage["unit"]
     cost = checked_mul(n // unit, price)
@@ -60,9 +165,7 @@ def _vault_of(ctx: CallContext, router: ContractState) -> ContractState:
     return vault
 
 
-def _vault_buy(ctx: CallContext, router: ContractState, args):
-    (amount,) = args
-    amount = _uint(amount)
+def _vault_buy(ctx: CallContext, router: ContractState, amount: int):
     vault = _vault_of(ctx, router)
     token = vault.storage["token"]
     shares = vault.storage["total_shares"]
@@ -98,21 +201,12 @@ def _vault_sell(ctx: CallContext, router: ContractState, shares_amount: int):
     return out
 
 
-def _vault_sell_amount(ctx: CallContext, router: ContractState, args):
-    (shares_amount,) = args
-    return _vault_sell(ctx, router, _uint(shares_amount))
-
-
-def _vault_sell_all(ctx: CallContext, router: ContractState, args):
-    if args:
-        raise Revert("bad args")
+def _vault_sell_all(ctx: CallContext, router: ContractState):
     vault = _vault_of(ctx, router)
     return _vault_sell(ctx, router, vault.storage.get(("share", ctx.sender), 0))
 
 
-def _staking_stake(ctx: CallContext, contract: ContractState, args):
-    (amount,) = args
-    amount = _uint(amount)
+def _staking_stake(ctx: CallContext, contract: ContractState, amount: int):
     token = contract.storage["token"]
     allowed = ctx.state.allowance(token, ctx.sender, contract.address)
     if allowed < amount:
@@ -128,9 +222,7 @@ def _staking_stake(ctx: CallContext, contract: ContractState, args):
     return stake_id
 
 
-def _staking_unstake(ctx: CallContext, contract: ContractState, args):
-    (stake_id,) = args
-    stake_id = _uint(stake_id)
+def _staking_unstake(ctx: CallContext, contract: ContractState, stake_id: int):
     rec = contract.storage.get(("stake", stake_id))
     if rec is None:
         raise Revert("unknown stake")
@@ -142,22 +234,58 @@ def _staking_unstake(ctx: CallContext, contract: ContractState, args):
     return True
 
 
-# kind -> fn -> (handler, arg_types, payable)
-CONTRACT_KINDS = {
+# --- the call table ----------------------------------------------------------
+
+# Target kinds the world itself provides; every other kind is a scenario
+# contract kind, whose handlers get the called ContractState as their target.
+WORLD_KINDS = ("token", "router", "pair")
+
+# target kind -> function name -> entry. The mutator's raw-call surface lists
+# each target's exposed functions in table order, which a seeded campaign's
+# draws depend on. A new contract kind is one more entry here.
+CALL_TABLE: dict[str, dict[str, CallEntry]] = {
+    "token": {
+        "transfer": CallEntry(_transfer, (ADDRESS, UINT)),
+        "approve": CallEntry(_approve, (ADDRESS, UINT)),
+        "transferFrom": CallEntry(_transfer_from, (ADDRESS, ADDRESS, UINT), exposed=False),
+        "balanceOf": CallEntry(_balance_of, (ADDRESS,), exposed=False),
+        "totalSupply": CallEntry(_total_supply, (), exposed=False),
+        "mint": CallEntry(_mint, (ADDRESS, UINT), flag="public_mint"),
+        "burn": CallEntry(_burn, (ADDRESS, UINT), flag="public_burn"),
+    },
+    "router": {
+        "swapExactIn": CallEntry(swap_exact_in, (ADDRESS, ADDRESS, UINT), takes_target=False),
+        "addLiquidity": CallEntry(
+            add_liquidity, (ADDRESS, ADDRESS, UINT, UINT), takes_target=False
+        ),
+        "removeLiquidity": CallEntry(remove_liquidity, (ADDRESS, UINT), takes_target=False),
+    },
+    "pair": {
+        "swap": CallEntry(pair_swap, (UINT, UINT)),
+        "mint": CallEntry(pair_mint, (ADDRESS,), exposed=False),
+        "burn": CallEntry(pair_burn, (ADDRESS,), exposed=False),
+        "sync": CallEntry(pair_sync, ()),
+        "skim": CallEntry(pair_skim, (ADDRESS,)),
+    },
     "token_sale": {
-        "buyTokens": (_sale_buy_tokens, ("uint",), True),
+        "buyTokens": CallEntry(_sale_buy_tokens, (UINT,), payable=True),
     },
     "vault": {},
     "vault_router": {
-        "buyLongToken": (_vault_buy, ("uint",), False),
-        "sellLongToken": (_vault_sell_amount, ("uint",), False),
-        "sellAllLongToken": (_vault_sell_all, (), False),
+        "buyLongToken": CallEntry(_vault_buy, (UINT,)),
+        "sellAllLongToken": CallEntry(_vault_sell_all, ()),
+        "sellLongToken": CallEntry(_vault_sell, (UINT,)),
     },
     "staking": {
-        "stake": (_staking_stake, ("uint",), False),
-        "unstake": (_staking_unstake, ("uint",), False),
+        "stake": CallEntry(_staking_stake, (UINT,)),
+        "unstake": CallEntry(_staking_unstake, (UINT,)),
     },
 }
+_TOKEN_CALLS, _ROUTER_CALLS, _PAIR_CALLS = (CALL_TABLE[k] for k in WORLD_KINDS)
+
+
+def is_contract_kind(kind) -> bool:
+    return isinstance(kind, str) and kind in CALL_TABLE and kind not in WORLD_KINDS
 
 
 # --- raw call routing -------------------------------------------------------
@@ -166,61 +294,22 @@ CONTRACT_KINDS = {
 def call_raw(ctx: CallContext, target: Address, fn: str, args: tuple):
     state = ctx.state
     if target in state.tokens:
-        return erc20_call(ctx, target, fn, args)
-    if target == ROUTER_ADDRESS:
-        return _call_router(ctx, fn, args)
-    if target in state.pairs:
-        return _call_pair(ctx, target, fn, args)
-    contract = state.contracts.get(target)
-    if contract is not None:
-        table = CONTRACT_KINDS.get(contract.kind, {})
-        entry = table.get(fn)
-        if entry is None:
-            raise Revert("unknown function")
-        handler, arg_types, _payable = entry
-        if len(args) != len(arg_types):
-            raise Revert("bad args")
-        return handler(ctx, contract, args)
-    raise Revert("unknown target")
-
-
-def _call_router(ctx: CallContext, fn: str, args: tuple):
-    try:
-        if fn == "swapExactIn":
-            token_in, token_out, amount_in = args
-            return swap_exact_in(ctx, _addr(token_in), _addr(token_out), _uint(amount_in))
-        if fn == "addLiquidity":
-            a, b, amt_a, amt_b = args
-            return add_liquidity(ctx, _addr(a), _addr(b), _uint(amt_a), _uint(amt_b))
-        if fn == "removeLiquidity":
-            pair, lp = args
-            return remove_liquidity(ctx, _addr(pair), _uint(lp))
-    except ValueError:
-        raise Revert("bad args")
-    raise Revert("unknown function")
-
-
-def _call_pair(ctx: CallContext, pair: Address, fn: str, args: tuple):
-    try:
-        if fn == "swap":
-            out0, out1 = args
-            return pair_swap(ctx, pair, _uint(out0), _uint(out1))
-        if fn == "mint":
-            (to,) = args
-            return pair_mint(ctx, pair, _addr(to))
-        if fn == "burn":
-            (to,) = args
-            return pair_burn(ctx, pair, _addr(to))
-        if fn == "skim":
-            (to,) = args
-            return pair_skim(ctx, pair, _addr(to))
-        if fn == "sync":
-            if args:
-                raise Revert("bad args")
-            return pair_sync(ctx, pair)
-    except ValueError:
-        raise Revert("bad args")
-    raise Revert("unknown function")
+        entry = _TOKEN_CALLS.get(fn)
+        if entry is not None and entry.flag and not getattr(state.tokens[target], entry.flag):
+            raise Revert(f"{fn} not allowed")
+    elif target == ROUTER_ADDRESS:
+        entry = _ROUTER_CALLS.get(fn)
+    elif target in state.pairs:
+        entry = _PAIR_CALLS.get(fn)
+    else:
+        contract = state.contracts.get(target)
+        if contract is None:
+            raise Revert("unknown target")
+        entry = CALL_TABLE.get(contract.kind, {}).get(fn)
+        target = contract
+    if entry is None:
+        raise Revert("unknown function")
+    return entry.invoke(ctx, target, args)
 
 
 def dispatch(ctx: CallContext, kind):

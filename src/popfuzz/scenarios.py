@@ -86,6 +86,15 @@ _VICTIM_BASE = 0x5001
 
 
 def scenario_from_dict(raw: dict) -> Scenario:
+    try:
+        return _scenario_from_dict(raw)
+    except (AttributeError, IndexError, KeyError, OverflowError, TypeError) as exc:
+        # an entry of the wrong shape: a list where a mapping belongs, a
+        # missing field, an unhashable name
+        raise ScenarioError(f"malformed scenario: {exc!r}") from exc
+
+
+def _scenario_from_dict(raw: dict) -> Scenario:
     if not isinstance(raw, dict):
         raise ScenarioError("scenario document must be a mapping")
     name = raw.get("name")
@@ -143,7 +152,7 @@ def scenario_from_dict(raw: dict) -> Scenario:
         kind = cd.get("kind")
         if not cname:
             raise ScenarioError(f"contract #{i} missing name")
-        if kind not in runtime.CONTRACT_KINDS:
+        if not runtime.is_contract_kind(kind):
             raise ScenarioError(f"contract {cname!r} has unknown kind {kind!r}")
         addr = make_address(_CONTRACT_BASE + i)
         contracts.append(
@@ -202,12 +211,15 @@ def scenario_from_dict(raw: dict) -> Scenario:
         sender = resolve(vt.get("sender"), f"victim tx #{i} sender")
         target = resolve(vt.get("target"), f"victim tx #{i} target")
         args = tuple(resolve(a, f"victim tx #{i} arg") for a in vt.get("args", []) or [])
+        fn = vt.get("fn", "")
+        if not isinstance(fn, str):
+            raise ScenarioError(f"victim tx #{i} function name must be a string")
         victim_txs.append(
             VictimTx(
                 position=int(vt.get("position", 0)),
                 tx=Transaction(
                     sender,
-                    RawCall(target, vt.get("fn", ""), args),
+                    RawCall(target, fn, args),
                     value=int(vt.get("value", 0)),
                 ),
             )
@@ -222,6 +234,8 @@ def scenario_from_dict(raw: dict) -> Scenario:
         calls = []
         for call in md.get("calls", []) or []:
             target, fn, template = call[0], call[1], call[2] if len(call) > 2 else []
+            if not isinstance(fn, str):
+                raise ScenarioError(f"macro {mname!r} function name must be a string")
             resolved_template = []
             for item in template:
                 if isinstance(item, dict) and "param" in item:
@@ -350,26 +364,20 @@ def _build_universe(sc: Scenario) -> Universe:
     addresses += [cd["address"] for cd in sc.contracts]
     addresses += list(sc.victims.values())
 
-    surface: list[FnSig] = []
-    for t in sc.tokens.values():
-        surface.append(FnSig(t.address, "transfer", ("address", "uint")))
-        surface.append(FnSig(t.address, "approve", ("address", "uint")))
-        if t.public_mint:
-            surface.append(FnSig(t.address, "mint", ("address", "uint")))
-        if t.public_burn:
-            surface.append(FnSig(t.address, "burn", ("address", "uint")))
+    def exposed(kind: str, target: Address, token: TokenDef | None = None) -> list[FnSig]:
+        return [
+            FnSig(target, fn, entry.arg_types, entry.payable)
+            for fn, entry in runtime.CALL_TABLE[kind].items()
+            if entry.exposed and (entry.flag is None or getattr(token, entry.flag))
+        ]
+
+    surface = [sig for t in sc.tokens.values() for sig in exposed("token", t.address, t)]
     if sc.pairs:
-        surface.append(FnSig(ROUTER_ADDRESS, "swapExactIn", ("address", "address", "uint")))
-        surface.append(FnSig(ROUTER_ADDRESS, "addLiquidity", ("address", "address", "uint", "uint")))
-        surface.append(FnSig(ROUTER_ADDRESS, "removeLiquidity", ("address", "uint")))
+        surface += exposed("router", ROUTER_ADDRESS)
     for pd in sc.pairs:
-        addr = pd["address"]
-        surface.append(FnSig(addr, "swap", ("uint", "uint")))
-        surface.append(FnSig(addr, "sync", ()))
-        surface.append(FnSig(addr, "skim", ("address",)))
+        surface += exposed("pair", pd["address"])
     for cd in sc.contracts:
-        for fn, (_h, arg_types, payable) in sorted(runtime.CONTRACT_KINDS[cd["kind"]].items()):
-            surface.append(FnSig(cd["address"], fn, tuple(arg_types), payable))
+        surface += exposed(cd["kind"], cd["address"])
 
     anchors: set[int] = set()
     for p in pair_states:

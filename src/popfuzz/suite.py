@@ -11,7 +11,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
-from .engine import VARIANT_FLAGS, CampaignConfig, CampaignResult, run_campaign, verify_result
+from .engine import VARIANTS, CampaignConfig, CampaignResult, run_campaign, verify_result
 from .scenarios import builtin_names, builtin_scenario
 
 SUITE_SCENARIOS = (
@@ -23,8 +23,6 @@ SUITE_SCENARIOS = (
 )
 
 SUITE_SEEDS = (1, 2, 3, 4, 5)
-
-VARIANTS = tuple(VARIANT_FLAGS)
 
 # Iteration budgets per scenario: the burn chain needs four structural pieces
 # (buy, burn, implicit sync, sell) and assembles late; the others are 1-3 txs.
@@ -39,14 +37,12 @@ _DEFAULT_ITERATIONS = 4000
 
 
 def suite_config(scenario_name: str, seed: int, variant: str = "full") -> CampaignConfig:
-    if variant not in VARIANT_FLAGS:
-        raise ValueError(f"unknown engine variant {variant!r}")
     return CampaignConfig(
         seed=seed,
         iterations=_SUITE_ITERATIONS.get(scenario_name, _DEFAULT_ITERATIONS),
         sgd_budget=600,
         sgd_total_budget=6000,
-        **VARIANT_FLAGS[variant],
+        variant=variant,
     )
 
 

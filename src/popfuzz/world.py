@@ -349,88 +349,6 @@ def token_transfer(ctx: CallContext, token: Address, src: Address, dst: Address,
         ctx.recorder.append(TransferEvent(token, src, BURN_ADDRESS, fee, ctx.tx_index))
 
 
-def token_mint(ctx: CallContext, token: Address, to: Address, amount: int) -> None:
-    state = ctx.state
-    if amount == 0:
-        raise Revert("zero mint")
-    state.set_supply(token, checked_add(state.supplies.get(token, 0), amount))
-    state.set_balance(token, to, checked_add(state.balance_of(token, to), amount))
-    ctx.emit_transfer(token, ZERO_ADDRESS, to, amount)
-
-
-def token_burn(ctx: CallContext, token: Address, src: Address, amount: int) -> None:
-    # Burn is modeled as a forced transfer to the burn address so that the
-    # per-token conservation invariant (holders + burn = supply) holds.
-    state = ctx.state
-    if amount == 0:
-        raise Revert("zero burn")
-    state.set_balance(token, src, checked_sub(state.balance_of(token, src), amount))
-    state.set_balance(token, BURN_ADDRESS, checked_add(state.balance_of(token, BURN_ADDRESS), amount))
-    ctx.emit_transfer(token, src, BURN_ADDRESS, amount)
-
-
-def erc20_call(ctx: CallContext, token: Address, fn: str, args: tuple):
-    state = ctx.state
-    tdef = state.tokens.get(token)
-    if tdef is None:
-        raise Revert("unknown token")
-    try:
-        if fn == "transfer":
-            to, amount = args
-            _check_amount(amount)
-            token_transfer(ctx, token, ctx.sender, _addr(to), amount)
-            return True
-        if fn == "approve":
-            spender, amount = args
-            _check_amount(amount)
-            state.set_allowance(token, ctx.sender, _addr(spender), amount)
-            return True
-        if fn == "transferFrom":
-            src, dst, amount = args
-            _check_amount(amount)
-            allowed = state.allowance(token, _addr(src), ctx.sender)
-            if allowed < amount:
-                raise Revert("insufficient allowance")
-            state.set_allowance(token, src, ctx.sender, allowed - amount)
-            token_transfer(ctx, token, src, _addr(dst), amount)
-            return True
-        if fn == "balanceOf":
-            (holder,) = args
-            return state.balance_of(token, _addr(holder))
-        if fn == "totalSupply":
-            if args:
-                raise Revert("bad args")
-            return state.supplies.get(token, 0)
-        if fn == "mint":
-            if not tdef.public_mint:
-                raise Revert("mint not allowed")
-            to, amount = args
-            _check_amount(amount)
-            token_mint(ctx, token, _addr(to), amount)
-            return True
-        if fn == "burn":
-            if not tdef.public_burn:
-                raise Revert("burn not allowed")
-            src, amount = args
-            _check_amount(amount)
-            token_burn(ctx, token, _addr(src), amount)
-            return True
-    except ValueError:  # wrong number of arguments
-        raise Revert("bad args")
-    raise Revert("unknown function")
-
-
-def _check_amount(amount) -> None:
-    if not isinstance(amount, int) or isinstance(amount, bool) or amount < 0 or amount > UINT_MAX:
-        raise Revert("bad amount")
-
-
-def _addr(x) -> Address:
-    if not isinstance(x, str):
-        raise Revert("bad address")
-    return x
-
-
 # --- transactions ----------------------------------------------------------
 
 

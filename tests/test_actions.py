@@ -1,7 +1,6 @@
 """Action lowering, random generation, and the sequence mutator's invariants."""
 
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -11,13 +10,11 @@ from popfuzz.actions import (
     A2_ROUTER_SWAP,
     MACRO,
     MAX_SEQUENCE_LEN,
-    UINT_RANGE,
     ActionSpec,
     TxSequence,
     log_uniform_uint,
     lower_action,
     mutate,
-    probability_of_valid_raw_amount,
     random_action,
     random_amount,
     random_transaction,
@@ -209,13 +206,3 @@ def test_splice_combines_prefix_and_suffix(burn_world):
         assert 1 <= len(child) <= MAX_SEQUENCE_LEN
         assert child.pricing_token == a.pricing_token
         assert all(id(t) in pool for t in child.txs)
-
-
-# --- raw-amount validity odds ------------------------------------------------------
-
-
-def test_probability_of_valid_raw_amount():
-    assert probability_of_valid_raw_amount(0) == Fraction(0)
-    assert probability_of_valid_raw_amount(10**30) == Fraction(10**30, UINT_RANGE)
-    assert float(probability_of_valid_raw_amount(10**30)) < 1e-40
-    assert probability_of_valid_raw_amount(2**300) == Fraction(1)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from popfuzz.actions import MACRO, ActionSpec
 from popfuzz.amm import ROUTER_ADDRESS
-from popfuzz.runtime import CONTRACT_KINDS
+from popfuzz.runtime import CALL_TABLE
 from popfuzz.scenarios import builtin_names, builtin_scenario
 from popfuzz.world import RawCall, Transaction, execute_sequence, make_address
 
@@ -18,11 +18,7 @@ _SCENARIOS = {name: builtin_scenario(name) for name in ALL_SCENARIOS}
 _BASES = {name: sc.build_state() for name, sc in _SCENARIOS.items()}
 _UNIVERSES = {name: sc.universe() for name, sc in _SCENARIOS.items()}
 
-FUNCTIONS = sorted(
-    {"transfer", "approve", "transferFrom", "balanceOf", "totalSupply", "mint", "burn",
-     "swapExactIn", "addLiquidity", "removeLiquidity", "swap", "skim", "sync", "nope"}
-    | {fn for table in CONTRACT_KINDS.values() for fn in table}
-)
+FUNCTIONS = sorted({fn for table in CALL_TABLE.values() for fn in table} | {"nope"})
 MACRO_NAMES = sorted(
     {m.name for u in _UNIVERSES.values() for m in u.macros} | {"", "no_such_macro"}
 )

@@ -51,6 +51,25 @@ def test_run_accepts_scenario_files(tmp_path):
     assert run_cli("run", "--scenario", str(path), "--iterations", "50") == 2
 
 
+_SCENARIO_HEAD = "name: malformed\npricing_tokens: [USD]\n"
+
+
+@pytest.mark.parametrize("body", [
+    "tokens: [1]\n",
+    "tokens:\n  - symbol: USD\ncontracts:\n  - name: c\n    kind: [a]\n",
+    "tokens:\n  - symbol: USD\nmacros:\n  - name: m\n    calls: [[USD]]\n",
+    "tokens:\n  - symbol: USD\npairs:\n  - tokens: 5\n    reserves: [1, 1]\n",
+    "tokens:\n  - symbol: USD\nmacros:\n  - name: m\n    calls: [[USD, [a]]]\n",
+    "tokens:\n  - symbol: USD\nvictim_txs:\n  - {sender: attacker, target: USD, fn: [a]}\n",
+], ids=["token_not_a_mapping", "unhashable_contract_kind", "macro_call_without_fn",
+        "pair_tokens_not_a_list", "macro_fn_not_a_string", "victim_fn_not_a_string"])
+def test_run_rejects_malformed_scenario_files(body, tmp_path, capsys):
+    path = tmp_path / "bad.yaml"
+    path.write_text(_SCENARIO_HEAD + body)
+    assert run_cli("run", "--scenario", str(path), "--iterations", "10") == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_replay_reproduces_recorded_proofs(mint_report, capsys):
     assert run_cli("replay", "--proof", str(mint_report), "--scenario", "public_mint") == 0
     out = capsys.readouterr().out
@@ -86,6 +105,8 @@ def test_replay_reproduces_every_variant(ablation, tmp_path, capsys):
         "--sgd-budget", "200", "--ablation", ablation, "--out", str(path),
     )
     assert code == 0
+    (run_entry,) = parse_report(path.read_text())["runs"]
+    assert run_entry["config"]["variant"] == ("full" if ablation == "none" else ablation)
     capsys.readouterr()
     assert run_cli("replay", "--proof", str(path), "--scenario", "public_mint") == 0
     lines = capsys.readouterr().out.splitlines()
@@ -105,6 +126,17 @@ def test_replay_rejects_malformed_run_configs(mint_report, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text(serialize_report(report))
         assert run_cli("replay", "--proof", str(path), "--scenario", "public_mint") == 1
+
+
+def test_replay_rejects_calls_with_unhashable_names(mint_report, tmp_path):
+    report = parse_report(mint_report.read_text())
+    tx = report["runs"][0]["proofs"][0]["txs"][0]
+    tx.pop("action", None)
+    tx["call"] = {"target": report["runs"][0]["proofs"][0]["pricing_token"],
+                  "fn": ["transfer"], "args": []}
+    path = tmp_path / "names.json"
+    path.write_text(serialize_report(report))
+    assert run_cli("replay", "--proof", str(path), "--scenario", "public_mint") == 1
 
 
 def test_repeat_runs_consecutive_seeds(tmp_path):

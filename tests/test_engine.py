@@ -138,22 +138,23 @@ def test_profit_timeline_is_strictly_improving(mint_scenario):
 
 
 def test_no_grd_disables_the_optimizer(mint_scenario):
-    result = run_campaign(mint_scenario, small_config(no_grd=True))
+    result = run_campaign(mint_scenario, small_config(variant="nogrd"))
     assert result.stats.sgd_runs == 0
     assert result.stats.sgd_evals == 0
 
 
 def test_no_cdt_keeps_only_the_profit_criterion(mint_scenario):
-    result = run_campaign(mint_scenario, small_config(no_cdt=True))
+    result = run_campaign(mint_scenario, small_config(variant="nocdt"))
     assert set(result.stats.candidate_counts) <= {"positive_profit"}
 
 
 def test_variant_labels():
     assert CampaignConfig().variant == "full"
-    assert CampaignConfig(no_act=True).variant == "noact"
-    assert CampaignConfig(no_cdt=True).variant == "nocdt"
-    assert CampaignConfig(no_acc=True).variant == "noacc"
-    assert CampaignConfig(no_grd=True).variant == "nogrd"
+    for variant in ("noact", "nocdt", "noacc", "nogrd"):
+        assert CampaignConfig(variant=variant).variant == variant
+    for bad in ("none", "no_acc", "", None):
+        with pytest.raises(ValueError, match="unknown engine variant"):
+            CampaignConfig(variant=bad)
 
 
 def test_record_schedule_collects_lawful_entries():

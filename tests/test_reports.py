@@ -59,14 +59,8 @@ def test_proof_round_trip():
 
 
 def test_config_round_trip_covers_every_variant():
-    for variant, flags in [
-        ("full", {}),
-        ("noact", {"no_act": True}),
-        ("nocdt", {"no_cdt": True}),
-        ("noacc", {"no_acc": True}),
-        ("nogrd", {"no_grd": True}),
-    ]:
-        cfg = CampaignConfig(seed=3, iterations=10, **flags)
+    for variant in ("full", "noact", "nocdt", "noacc", "nogrd"):
+        cfg = CampaignConfig(seed=3, iterations=10, variant=variant)
         back = config_from_dict(config_to_dict(cfg))
         assert back.variant == variant
         assert (back.seed, back.iterations) == (3, 10)

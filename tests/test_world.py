@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from popfuzz.runtime import call_raw
 from popfuzz.scenarios import scenario_from_dict
 from popfuzz.world import (
     BURN_ADDRESS,
@@ -19,7 +20,6 @@ from popfuzz.world import (
     checked_add,
     checked_mul,
     checked_sub,
-    erc20_call,
     execute_sequence,
     make_address,
     snapshot,
@@ -122,7 +122,7 @@ def test_mint_is_gated_and_tracked_in_supply():
     sc, state = build_world()
     usd = sc.token_address("USD")
     with pytest.raises(Revert, match="mint not allowed"):
-        erc20_call(ctx_for(state, sc.attacker), usd, "mint", (sc.attacker, 5))
+        call_raw(ctx_for(state, sc.attacker), usd, "mint", (sc.attacker, 5))
 
     mintable = scenario_from_dict(
         {
@@ -135,7 +135,7 @@ def test_mint_is_gated_and_tracked_in_supply():
     st2 = mintable.build_state()
     mnt = mintable.token_address("MNT")
     recorder = []
-    erc20_call(ctx_for(st2, mintable.attacker, recorder), mnt, "mint", (mintable.attacker, 7))
+    call_raw(ctx_for(st2, mintable.attacker, recorder), mnt, "mint", (mintable.attacker, 7))
     assert st2.balance_of(mnt, mintable.attacker) == 7
     assert st2.supplies[mnt] == 7
     assert recorder[0].src == ZERO_ADDRESS
@@ -154,7 +154,7 @@ def test_public_burn_moves_third_party_holdings_to_burn_address():
     state = burnable.build_state()
     brn = burnable.token_address("BRN")
     holder = burnable.victims["holder"]
-    erc20_call(ctx_for(state, burnable.attacker), brn, "burn", (holder, 200))
+    call_raw(ctx_for(state, burnable.attacker), brn, "burn", (holder, 200))
     assert state.balance_of(brn, holder) == 300
     assert state.balance_of(brn, BURN_ADDRESS) == 200
     # modeled as a forced transfer: supply is conserved, holdings just move
@@ -166,9 +166,9 @@ def test_transfer_from_requires_and_consumes_allowance():
     usd = sc.token_address("USD")
     spender = RECIPIENT
     with pytest.raises(Revert, match="insufficient allowance"):
-        erc20_call(ctx_for(state, spender), usd, "transferFrom", (sc.attacker, spender, 10))
-    erc20_call(ctx_for(state, sc.attacker), usd, "approve", (spender, 25))
-    erc20_call(ctx_for(state, spender), usd, "transferFrom", (sc.attacker, spender, 10))
+        call_raw(ctx_for(state, spender), usd, "transferFrom", (sc.attacker, spender, 10))
+    call_raw(ctx_for(state, sc.attacker), usd, "approve", (spender, 25))
+    call_raw(ctx_for(state, spender), usd, "transferFrom", (sc.attacker, spender, 10))
     assert state.allowance(usd, sc.attacker, spender) == 15
     assert state.balance_of(usd, spender) == 10
 
