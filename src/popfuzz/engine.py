@@ -41,6 +41,14 @@ from .world import ExecutionReceipt, RawCall, Transaction, execute_sequence
 #   nogrd  no argument optimization of candidates
 VARIANTS = ("full", "noact", "nocdt", "noacc", "nogrd")
 
+CANDIDATE_WEIGHT = 5  # candidate entries' selection weight against novel ones
+MAX_RARITY_BOOST = 32  # cap on the rare-criterion selection multiplier
+MAX_CANDIDATES = 128  # corpus cap, candidate tier (FIFO eviction)
+MAX_NOVEL = 256  # corpus cap, novelty tier (FIFO eviction)
+MAX_ELITE = 16  # verified-profit structures retained for focused mutation
+ELITE_BIAS = 0.4  # share of selections drawn from the elite set
+SPLICE_BIAS = 0.1  # share of children built by crossover before mutation
+
 
 @dataclass(frozen=True)
 class CampaignConfig:
@@ -50,13 +58,6 @@ class CampaignConfig:
     sgd_budget: int = 2000  # profit evaluations per optimized candidate structure
     sgd_total_budget: int = 8000  # profit evaluations across the whole campaign
     sgd_restarts: int = 3
-    candidate_weight: int = 5
-    max_candidates: int = 128  # corpus cap, candidate tier (FIFO eviction)
-    max_novel: int = 256  # corpus cap, novelty tier (FIFO eviction)
-    max_elite: int = 16  # verified-profit structures retained for focused mutation
-    elite_bias: float = 0.4  # share of selections drawn from the elite set
-    splice_bias: float = 0.1  # share of children built by crossover before mutation
-    max_rarity_boost: int = 32  # cap on the rare-criterion selection multiplier
     variant: str = "full"  # one of VARIANTS
     record_schedule: bool = False
 
@@ -92,7 +93,6 @@ class CampaignStats:
 
 @dataclass
 class CampaignResult:
-    scenario_name: str
     config: CampaignConfig
     best: dict  # pricing token -> Proof
     proofs: list
@@ -269,7 +269,7 @@ def run_campaign(scenario: Scenario, config: CampaignConfig) -> CampaignResult:
                     entry[1], entry[2] = profit, seq
                 return
         elite.append([structure, profit, seq])
-        if len(elite) > config.max_elite:
+        if len(elite) > MAX_ELITE:
             elite.remove(min(elite, key=lambda e: e[1]))
 
     def record_best(seq: TxSequence, claimed: int, criteria: tuple, it: int, optimized: bool):
@@ -295,7 +295,7 @@ def run_campaign(scenario: Scenario, config: CampaignConfig) -> CampaignResult:
         stats.profit_timeline.append((it, verified))
 
     # corpus tiers: candidates (with the criteria that admitted them) are
-    # selected candidate_weight x as often as novel entries, boosted further
+    # selected CANDIDATE_WEIGHT x as often as novel entries, boosted further
     # when their rarest criterion is underrepresented in the campaign so far.
     candidates_tier: list[tuple[TxSequence, tuple]] = []
     novel_tier: list[TxSequence] = [seed_sequence(rng, universe, noact)]
@@ -307,14 +307,14 @@ def run_campaign(scenario: Scenario, config: CampaignConfig) -> CampaignResult:
         campaign's criterion counts."""
         counts = stats.candidate_counts
         if not criteria or not counts:
-            return config.candidate_weight
+            return CANDIDATE_WEIGHT
         rarest = min(counts.get(c, 1) for c in criteria)
-        boost = min(config.max_rarity_boost, max(1, total // max(1, rarest)))
-        return config.candidate_weight * boost
+        boost = min(MAX_RARITY_BOOST, max(1, total // max(1, rarest)))
+        return CANDIDATE_WEIGHT * boost
 
     def pick_parent() -> TxSequence:
         nonlocal cand_dirty, cand_cum
-        if elite and rng.random() < config.elite_bias:
+        if elite and rng.random() < ELITE_BIAS:
             return rng.choice(elite)[2]
         if cand_dirty or it % 32 == 0:
             total = sum(stats.candidate_counts.values())
@@ -346,7 +346,7 @@ def run_campaign(scenario: Scenario, config: CampaignConfig) -> CampaignResult:
     started = time.perf_counter()
     for it in range(config.iterations):
         parent = pick_parent()
-        if rng.random() < config.splice_bias:
+        if rng.random() < SPLICE_BIAS:
             other = any_corpus_member()
             if other is not None and other is not parent:
                 parent = splice(parent, other, rng)
@@ -359,7 +359,7 @@ def run_campaign(scenario: Scenario, config: CampaignConfig) -> CampaignResult:
 
         found = [] if config.variant == "nocdt" else classify(receipt, cluster)
         if profit > 0:
-            found.append(Candidate(POSITIVE_PROFIT, (), "accounting profit"))
+            found.append(Candidate(POSITIVE_PROFIT, ()))
         for cand in found:
             stats.candidate_counts[cand.criterion] = (
                 stats.candidate_counts.get(cand.criterion, 0) + 1
@@ -371,12 +371,12 @@ def run_campaign(scenario: Scenario, config: CampaignConfig) -> CampaignResult:
             seen_signatures.add(sig)
             if found:
                 candidates_tier.append((child, criteria))
-                if len(candidates_tier) > config.max_candidates:
+                if len(candidates_tier) > MAX_CANDIDATES:
                     candidates_tier.pop(0)
                 cand_dirty = True
             else:
                 novel_tier.append(child)
-                if len(novel_tier) > config.max_novel:
+                if len(novel_tier) > MAX_NOVEL:
                     novel_tier.pop(0)
 
         if not found:
@@ -448,7 +448,7 @@ def run_campaign(scenario: Scenario, config: CampaignConfig) -> CampaignResult:
     stats.elapsed = time.perf_counter() - started
     stats.corpus_candidates = len(candidates_tier)
     stats.corpus_novel = len(novel_tier)
-    return CampaignResult(scenario.name, config, best, proofs, stats, schedules)
+    return CampaignResult(config, best, proofs, stats, schedules)
 
 
 def verify_result(scenario: Scenario, result: CampaignResult) -> None:

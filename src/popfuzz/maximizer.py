@@ -46,24 +46,6 @@ class ScheduleEntry:
     kind: str
 
 
-def schedule_law_holds(entry: ScheduleEntry) -> bool:
-    """The invariant every recorded step update must satisfy."""
-    b, a = entry.before, entry.after
-    if entry.kind == GROW:
-        return abs(a) == (3 * abs(b) + 1) // 2 and (a > 0) == (b > 0)
-    if entry.kind == SHRINK:
-        return abs(a) == max(1, abs(b) // 3) and (a > 0) != (b > 0)
-    if entry.kind == HALVE:
-        return abs(b) // 2 > 0 and abs(a) == abs(b) // 2 and (a > 0) == (b > 0)
-    if entry.kind == RETIRE_SHRINK:
-        return abs(b) == 1 and a == 0
-    if entry.kind == RETIRE_BOUNDARY:
-        return abs(b) // 2 == 0 and a == 0
-    if entry.kind == RETIRE_FLAT:
-        return a == 0
-    return False
-
-
 @dataclass
 class SgdResult:
     x: list
@@ -338,7 +320,6 @@ class MaximizeResult:
     seq: TxSequence
     profit: int
     evals: int
-    restarts: int
     schedule: list = field(default_factory=list)
 
 
@@ -362,7 +343,7 @@ def maximize_sequence(
     schedule: list = [] if record_schedule else None
     if not refs:
         base = evaluate_seq(seq)
-        return MaximizeResult(seq, base if base is not None else 0, 1, 0, schedule or [])
+        return MaximizeResult(seq, base if base is not None else 0, 1, schedule or [])
 
     culprit_set = set(culprits)
     order: list[int] = []
@@ -404,6 +385,4 @@ def maximize_sequence(
     if best_f is None:
         best_f = 0
         best_x = x0
-    return MaximizeResult(
-        apply_vector(seq, refs, best_x), best_f, spent, restarts, schedule or []
-    )
+    return MaximizeResult(apply_vector(seq, refs, best_x), best_f, spent, schedule or [])

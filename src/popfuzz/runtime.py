@@ -1,12 +1,13 @@
 """Call dispatch: routes raw calls and actions to tokens, router, pairs, and
-scenario contracts. One table, `CALL_TABLE`, declares every callable function;
-it drives dispatch, argument checks and the mutator's call surface. Importing
-this module wires the world executor."""
+scenario contracts. `CALL_TABLE` declares every callable function, and drives
+dispatch, argument checks and the mutator's call surface; `CONTRACT_KINDS`
+declares each contract kind's parameters and functions. Importing this module
+wires the world executor."""
 
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .actions import ActionSpec, LoweredPairSwap, lower_action
 from .amm import (
@@ -40,6 +41,7 @@ MAX_CALL_DEPTH = 8
 
 ADDRESS = "address"
 UINT = "uint"
+SYMBOL = "symbol"  # contract parameters only: the symbol of a declared token
 
 # Argument checks as source lines, one per declared type; {0} is the argument.
 _ARG_CHECKS = {
@@ -90,6 +92,23 @@ class CallEntry:
     def __post_init__(self, takes_target: bool):
         invoke = _compile_invoke(self.handler, self.arg_types, takes_target)
         object.__setattr__(self, "invoke", invoke)
+
+
+class Param(NamedTuple):
+    """A contract parameter: its type (`ADDRESS`, any scenario name; `SYMBOL`;
+    or `UINT`) and its default, None when a scenario must set it."""
+
+    type: str
+    default: Optional[int] = None
+
+
+class ContractKind(NamedTuple):
+    """A scenario contract kind. Its resolved parameters are the contract's
+    initial storage; its calls are its `CALL_TABLE` entries, whose handlers
+    get the called ContractState as their target."""
+
+    params: dict[str, Param]
+    calls: dict[str, CallEntry]
 
 
 # --- ERC-20 functions --------------------------------------------------------
@@ -151,6 +170,8 @@ def _burn(ctx: CallContext, token: Address, src: Address, amount: int):
 def _sale_buy_tokens(ctx: CallContext, contract: ContractState, n: int):
     price = contract.storage["price"]
     unit = contract.storage["unit"]
+    if unit == 0:
+        raise Revert("division by zero")
     cost = checked_mul(n // unit, price)
     if ctx.msg_value < cost:
         raise Revert("insufficient payment")
@@ -160,7 +181,7 @@ def _sale_buy_tokens(ctx: CallContext, contract: ContractState, n: int):
 
 def _vault_of(ctx: CallContext, router: ContractState) -> ContractState:
     vault = ctx.state.contracts.get(router.storage["vault"])
-    if vault is None:
+    if vault is None or vault.kind != "vault":
         raise Revert("no vault")
     return vault
 
@@ -236,13 +257,9 @@ def _staking_unstake(ctx: CallContext, contract: ContractState, stake_id: int):
 
 # --- the call table ----------------------------------------------------------
 
-# Target kinds the world itself provides; every other kind is a scenario
-# contract kind, whose handlers get the called ContractState as their target.
-WORLD_KINDS = ("token", "router", "pair")
-
 # target kind -> function name -> entry. The mutator's raw-call surface lists
 # each target's exposed functions in table order, which a seeded campaign's
-# draws depend on. A new contract kind is one more entry here.
+# draws depend on. The contract kinds' entries come from CONTRACT_KINDS.
 CALL_TABLE: dict[str, dict[str, CallEntry]] = {
     "token": {
         "transfer": CallEntry(_transfer, (ADDRESS, UINT)),
@@ -267,25 +284,38 @@ CALL_TABLE: dict[str, dict[str, CallEntry]] = {
         "sync": CallEntry(pair_sync, ()),
         "skim": CallEntry(pair_skim, (ADDRESS,)),
     },
-    "token_sale": {
-        "buyTokens": CallEntry(_sale_buy_tokens, (UINT,), payable=True),
-    },
-    "vault": {},
-    "vault_router": {
-        "buyLongToken": CallEntry(_vault_buy, (UINT,)),
-        "sellAllLongToken": CallEntry(_vault_sell_all, ()),
-        "sellLongToken": CallEntry(_vault_sell, (UINT,)),
-    },
-    "staking": {
-        "stake": CallEntry(_staking_stake, (UINT,)),
-        "unstake": CallEntry(_staking_unstake, (UINT,)),
-    },
 }
-_TOKEN_CALLS, _ROUTER_CALLS, _PAIR_CALLS = (CALL_TABLE[k] for k in WORLD_KINDS)
+_TOKEN_CALLS, _ROUTER_CALLS, _PAIR_CALLS = (CALL_TABLE[k] for k in ("token", "router", "pair"))
+
+# contract kind -> its declaration. A new contract kind is one more entry here;
+# scenario files can then use it, and the mutator calls its exposed functions.
+CONTRACT_KINDS: dict[str, ContractKind] = {
+    "token_sale": ContractKind(
+        {"token": Param(SYMBOL), "price": Param(UINT), "unit": Param(UINT, 10**18)},
+        {"buyTokens": CallEntry(_sale_buy_tokens, (UINT,), payable=True)},
+    ),
+    "vault": ContractKind({"token": Param(SYMBOL), "total_shares": Param(UINT, 0)}, {}),
+    "vault_router": ContractKind(
+        {"vault": Param(ADDRESS)},
+        {
+            "buyLongToken": CallEntry(_vault_buy, (UINT,)),
+            "sellAllLongToken": CallEntry(_vault_sell_all, ()),
+            "sellLongToken": CallEntry(_vault_sell, (UINT,)),
+        },
+    ),
+    "staking": ContractKind(
+        {"token": Param(SYMBOL), "next_ord": Param(UINT, 0)},
+        {
+            "stake": CallEntry(_staking_stake, (UINT,)),
+            "unstake": CallEntry(_staking_unstake, (UINT,)),
+        },
+    ),
+}
+CALL_TABLE.update((kind, k.calls) for kind, k in CONTRACT_KINDS.items())
 
 
 def is_contract_kind(kind) -> bool:
-    return isinstance(kind, str) and kind in CALL_TABLE and kind not in WORLD_KINDS
+    return isinstance(kind, str) and kind in CONTRACT_KINDS
 
 
 # --- raw call routing -------------------------------------------------------

@@ -5,6 +5,16 @@ contracts, the attacker's starting position, pricing tokens, optional victim
 transactions (injected at fixed sequence positions), and optional macros
 (scenario-defined call templates added to the action alphabet).
 
+A contract has a `name`, a `kind`, `params` and optional `holdings` (token
+symbol -> amount). Its kind's entry in `runtime.CONTRACT_KINDS` declares the
+parameters, which become its storage; an address takes any scenario name, a
+symbol a declared token's, and one with a default may be left out:
+
+    token_sale    token: symbol, price: uint, unit: uint = 10**18
+    vault         token: symbol, total_shares: uint = 0
+    vault_router  vault: address (a vault contract)
+    staking       token: symbol, next_ord: uint = 0
+
 Built-in scenarios are embedded as data so tests never depend on external
 files; each carries a ground-truth optimum reproduced by an independent
 brute-force oracle in `ground_truth_optimum`.
@@ -28,6 +38,7 @@ from .world import (
     RawCall,
     TokenDef,
     Transaction,
+    UINT_MAX,
     WorldState,
     make_address,
 )
@@ -53,18 +64,16 @@ class Scenario:
     attacker: Address
     attacker_balances: dict[str, int]
     attacker_native: int
-    attacker_contracts: tuple = ()
     victims: dict[str, Address] = field(default_factory=dict)
     victim_balances: dict[tuple[str, str], int] = field(default_factory=dict)
     pricing_tokens: list[Address] = field(default_factory=list)
     victim_txs: list[VictimTx] = field(default_factory=list)
     macros: dict[str, MacroDef] = field(default_factory=dict)
-    ground_truth: dict = field(default_factory=dict)
     addresses: dict[str, Address] = field(default_factory=dict)
 
     @property
     def cluster(self) -> frozenset:
-        return frozenset((self.attacker,) + tuple(self.attacker_contracts))
+        return frozenset({self.attacker})
 
     def token_address(self, symbol: str) -> Address:
         return self.tokens[symbol].address
@@ -88,9 +97,9 @@ _VICTIM_BASE = 0x5001
 def scenario_from_dict(raw: dict) -> Scenario:
     try:
         return _scenario_from_dict(raw)
-    except (AttributeError, IndexError, KeyError, OverflowError, TypeError) as exc:
+    except (AttributeError, IndexError, KeyError, OverflowError, TypeError, ValueError) as exc:
         # an entry of the wrong shape: a list where a mapping belongs, a
-        # missing field, an unhashable name
+        # missing field, an unhashable name, an amount that is no integer
         raise ScenarioError(f"malformed scenario: {exc!r}") from exc
 
 
@@ -160,8 +169,8 @@ def _scenario_from_dict(raw: dict) -> Scenario:
                 "address": addr,
                 "name": cname,
                 "kind": kind,
-                "params": cd.get("params", {}) or {},
-                "holdings": cd.get("holdings", {}) or {},
+                "params": cd.get("params", {}) or {},  # resolved once all names are known
+                "holdings": _amounts(f"contract {cname!r}", cd.get("holdings"), tokens),
             }
         )
         names[cname] = addr
@@ -173,10 +182,12 @@ def _scenario_from_dict(raw: dict) -> Scenario:
         addr = make_address(_VICTIM_BASE + i)
         victims[vname] = addr
         names[vname] = addr
-        for sym, amt in (vd.get("balances", {}) or {}).items():
-            if sym not in tokens:
-                raise ScenarioError(f"victim {vname!r} holds undeclared token {sym!r}")
-            victim_balances[(vname, sym)] = int(amt)
+        for sym, amt in _amounts(f"victim {vname!r}", vd.get("balances"), tokens).items():
+            victim_balances[(vname, sym)] = amt
+
+    symbols = {sym: t.address for sym, t in tokens.items()}
+    for cd in contracts:
+        cd["params"] = _contract_params(cd, names, symbols)
 
     def resolve(value, what: str):
         if isinstance(value, str):
@@ -186,11 +197,7 @@ def _scenario_from_dict(raw: dict) -> Scenario:
         return int(value)
 
     attacker_cfg = raw.get("attacker", {}) or {}
-    attacker_balances = {}
-    for sym, amt in (attacker_cfg.get("balances", {}) or {}).items():
-        if sym not in tokens:
-            raise ScenarioError(f"attacker holds undeclared token {sym!r}")
-        attacker_balances[sym] = int(amt)
+    attacker_balances = _amounts("attacker", attacker_cfg.get("balances"), tokens)
 
     pricing = raw.get("pricing_tokens") or []
     if not pricing:
@@ -264,9 +271,45 @@ def _scenario_from_dict(raw: dict) -> Scenario:
         pricing_tokens=pricing_addrs,
         victim_txs=victim_txs,
         macros=macros,
-        ground_truth=raw.get("ground_truth", {}) or {},
         addresses=names,
     )
+
+
+def _amounts(holder: str, amounts, tokens: dict) -> dict[str, int]:
+    """A holder's amounts by token symbol; every symbol must be declared."""
+    amounts = amounts or {}
+    for sym in amounts:
+        if sym not in tokens:
+            raise ScenarioError(f"{holder} holds undeclared token {sym!r}")
+    return {sym: int(amt) for sym, amt in amounts.items()}
+
+
+def _contract_params(cd: dict, names: dict, symbols: dict) -> dict:
+    """A contract's parameters as its kind declares them: each checked against
+    its type, names resolved to addresses, absent ones set to their defaults."""
+    what = f"contract {cd['name']!r}"
+    raw = cd["params"]
+    if not isinstance(raw, dict):
+        raise ScenarioError(f"{what} params must be a mapping")
+    declared = runtime.CONTRACT_KINDS[cd["kind"]].params
+    for key in raw:
+        if key not in declared:
+            raise ScenarioError(f"{what} has unknown parameter {key!r}")
+    params = {}
+    for key, param in declared.items():
+        value = raw[key] if key in raw else param.default
+        if value is None:
+            raise ScenarioError(f"{what} is missing parameter {key!r}")
+        if param.type == runtime.UINT:
+            if type(value) is not int or not 0 <= value <= UINT_MAX:
+                raise ScenarioError(f"{what} parameter {key!r} must be a uint, got {value!r}")
+        else:
+            scope = symbols if param.type == runtime.SYMBOL else names
+            if not isinstance(value, str) or value not in scope:
+                raise ScenarioError(f"{what} parameter {key!r} is no known {param.type}: {value!r}")
+            value = scope[value]
+        params[key] = value
+    return params
 
 
 def load_scenario(path) -> tuple[Scenario, WorldState]:
@@ -335,20 +378,10 @@ def _build_state(sc: Scenario) -> WorldState:
         state.supplies[pd["lp_address"]] = lp_supply
 
     for cd in sc.contracts:
-        storage = {}
-        for key, value in cd["params"].items():
-            storage[key] = sc.addresses.get(value, value) if isinstance(value, str) else value
-        if cd["kind"] == "token_sale":
-            storage.setdefault("unit", 10**18)
-        if cd["kind"] == "vault":
-            storage.setdefault("total_shares", 0)
-        if cd["kind"] == "staking":
-            storage.setdefault("next_ord", 0)
-        state.contracts[cd["address"]] = ContractState(cd["address"], cd["kind"], storage)
+        address = cd["address"]
+        state.contracts[address] = ContractState(address, cd["kind"], dict(cd["params"]))
         for symbol, amount in cd["holdings"].items():
-            if symbol not in tokens:
-                raise ScenarioError(f"contract {cd['name']!r} holds undeclared token {symbol!r}")
-            credit(symbol, cd["address"], int(amount))
+            credit(symbol, address, amount)
 
     return state
 
@@ -384,10 +417,10 @@ def _build_universe(sc: Scenario) -> Universe:
         anchors.update((p.reserve0, p.reserve1))
     anchors.update(v for v in state.balances.values() if v > 0)
     for cd in sc.contracts:
-        for key in ("price", "unit"):
-            v = state.contracts[cd["address"]].storage.get(key)
-            if isinstance(v, int) and v > 0:
-                anchors.add(v)
+        declared = runtime.CONTRACT_KINDS[cd["kind"]].params
+        anchors.update(
+            v for key, v in cd["params"].items() if declared[key].type == runtime.UINT and v > 0
+        )
 
     return Universe(
         addresses=tuple(addresses),
@@ -443,10 +476,6 @@ _BUILTIN_SPECS: dict[str, dict] = {
         "pairs": [{"tokens": ["MNT", "USD"], "reserves": [1_000_000, 1_000_000]}],
         "attacker": {},
         "pricing_tokens": ["USD"],
-        "ground_truth": {
-            "oracle": "golden-section over log-spaced mint amounts on the exact "
-            "integer profit function",
-        },
     },
     "zero_cost_buy": {
         "name": "zero_cost_buy",
@@ -465,10 +494,6 @@ _BUILTIN_SPECS: dict[str, dict] = {
         ],
         "attacker": {},
         "pricing_tokens": ["USD"],
-        "ground_truth": {
-            "oracle": "exhaustive over repeat counts x per-call amount below the "
-            "free-purchase threshold",
-        },
     },
     "fee_transfer": {
         "name": "fee_transfer",
@@ -479,10 +504,6 @@ _BUILTIN_SPECS: dict[str, dict] = {
         "pairs": [{"tokens": ["FEE", "USD"], "reserves": [1_000_000, 1_000_000]}],
         "attacker": {"balances": {"FEE": 100_000}},
         "pricing_tokens": ["USD"],
-        "ground_truth": {
-            "oracle": "structural: winning sell percentage must stay within the "
-            "fee-adjusted bound (<= 90)",
-        },
     },
     "public_burn": {
         "name": "public_burn",
@@ -497,9 +518,6 @@ _BUILTIN_SPECS: dict[str, dict] = {
         ],
         "attacker": {"balances": {"USD": 10**17}},
         "pricing_tokens": ["USD", "WBNB"],
-        "ground_truth": {
-            "oracle": "2-D grid over buy-percentage x burn-fraction, refined locally",
-        },
     },
     "rounding_vault": {
         "name": "rounding_vault",
@@ -541,10 +559,6 @@ _BUILTIN_SPECS: dict[str, dict] = {
             {"name": "vault_exit", "params": [], "calls": [["vrouter", "sellAllLongToken", []]]},
         ],
         "pricing_tokens": ["USD"],
-        "ground_truth": {
-            "profit": VICTIM_DEPOSIT,
-            "oracle": "brute force over donation d in [0, 2v]; optimum d = v",
-        },
     },
 }
 
@@ -585,10 +599,6 @@ def builtin_scenario(name: str) -> Scenario:
     if spec is None:
         raise ScenarioError(f"unknown built-in scenario {name!r}")
     return scenario_from_dict(spec)
-
-
-def builtin_corpus() -> list[Scenario]:
-    return [scenario_from_dict(spec) for spec in _BUILTIN_SPECS.values()]
 
 
 # --- ground-truth oracles ---------------------------------------------------
@@ -644,19 +654,17 @@ def _zero_cost_buy_optimum() -> int:
     return best
 
 
-def _rounding_vault_optimum() -> tuple[int, int]:
+def _rounding_vault_optimum() -> int:
     v = VICTIM_DEPOSIT
-    best, best_d = 0, 0
+    best = 0
     for d in range(0, 2 * v + 1):
         a = 1  # attacker's initial deposit
         balance = a + d
         victim_shares = v * a // balance
         total = a + victim_shares
         redeemed = a * (balance + v) // total
-        profit = redeemed - (a + d)
-        if profit > best:
-            best, best_d = profit, d
-    return best, best_d
+        best = max(best, redeemed - (a + d))
+    return best
 
 
 def _public_burn_profit(buy_pct: int, burn_pct: int) -> int:
@@ -694,7 +702,7 @@ def ground_truth_optimum(name: str) -> int:
     if name == "zero_cost_buy":
         return _zero_cost_buy_optimum()
     if name == "rounding_vault":
-        return _rounding_vault_optimum()[0]
+        return _rounding_vault_optimum()
     if name == "public_burn":
         return _public_burn_optimum()
     raise ScenarioError(f"no numeric ground truth for {name!r}")

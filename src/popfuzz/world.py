@@ -120,7 +120,6 @@ class WorldState:
     pairs: dict[Address, PairState] = field(default_factory=dict)
     contracts: dict[Address, ContractState] = field(default_factory=dict)
     macros: dict = field(default_factory=dict)  # name -> actions.MacroDef, shared
-    block_number: int = 0
     # Undo journal, active while not None: every write appends
     # (container, key, old value), where the container is a dict (old value
     # _ABSENT if the key was missing) or a PairState (key is the field name).
@@ -137,7 +136,6 @@ class WorldState:
             pairs={a: p.copy() for a, p in self.pairs.items()},
             contracts={a: c.copy() for a, c in self.contracts.items()},
             macros=self.macros,
-            block_number=self.block_number,
         )
 
     # --- ledger access -----------------------------------------------------
@@ -230,11 +228,6 @@ class WorldState:
 _ABSENT = object()
 
 
-def snapshot(state: WorldState) -> WorldState:
-    """States are small at desk scale, so a snapshot is a full copy."""
-    return state.copy()
-
-
 # Event records are built millions of times per campaign, so they are
 # named tuples: immutable, and far cheaper to construct than frozen dataclasses.
 
@@ -264,14 +257,6 @@ class PairCheck(NamedTuple):
     balance1: int
     k_decreased: bool
     tx_index: int
-
-    @property
-    def imbalanced(self) -> bool:
-        return (
-            self.reserve0 != self.balance0
-            or self.reserve1 != self.balance1
-            or self.k_decreased
-        )
 
 
 RETURNED = "returned"

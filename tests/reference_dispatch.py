@@ -5,7 +5,8 @@ was: `erc20_call`'s chain of `if fn ==` branches with `token_mint` and
 `token_burn`, `_call_router`, `_call_pair`, the `CONTRACT_KINDS` table with
 handlers that unpack their own arguments, and `call_raw` over them.
 `reference_surface` is the mutator's surface as `scenarios._build_universe`
-listed it by hand.
+listed it by hand, and `reference_anchors` its amount anchors as it read them
+from fixed storage keys.
 """
 
 from __future__ import annotations
@@ -333,3 +334,19 @@ def reference_surface(sc) -> list:
         for fn, (_h, arg_types, payable) in sorted(CONTRACT_KINDS[cd["kind"]].items()):
             surface.append(FnSig(cd["address"], fn, tuple(arg_types), payable))
     return surface
+
+
+def reference_anchors(sc) -> tuple:
+    """The mutator's amount anchors of scenario `sc`: pair reserves, positive
+    balances, and each contract's `price` and `unit` storage when above 0."""
+    state = sc.build_state()
+    anchors = set()
+    for p in state.pairs.values():
+        anchors.update((p.reserve0, p.reserve1))
+    anchors.update(v for v in state.balances.values() if v > 0)
+    for contract in state.contracts.values():
+        for key in ("price", "unit"):
+            v = contract.storage.get(key)
+            if isinstance(v, int) and v > 0:
+                anchors.add(v)
+    return tuple(sorted(anchors))

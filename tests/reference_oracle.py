@@ -49,7 +49,7 @@ def classify_reference(receipt: ExecutionReceipt, cluster: frozenset) -> list[Ca
     )
     if imbalance_culprits:
         candidates.append(
-            Candidate(IMBALANCED_PAIR, tuple(imbalance_culprits), "reserve/balance divergence")
+            Candidate(IMBALANCED_PAIR, tuple(imbalance_culprits))
         )
 
     by_tx: dict[int, list] = {}
@@ -74,15 +74,11 @@ def classify_reference(receipt: ExecutionReceipt, cluster: frozenset) -> list[Ca
 
     if gain_culprits:
         candidates.append(
-            Candidate(UNCONDITIONAL_GAIN, tuple(sorted(gain_culprits)), "inflow without outflow")
+            Candidate(UNCONDITIONAL_GAIN, tuple(sorted(gain_culprits)))
         )
     if burn_culprits:
         candidates.append(
-            Candidate(
-                UNCONDITIONAL_BURN,
-                tuple(sorted(burn_culprits)),
-                "third-party holdings burned at no cost",
-            )
+            Candidate(UNCONDITIONAL_BURN, tuple(sorted(burn_culprits)))
         )
     return candidates
 

@@ -236,10 +236,14 @@ def test_each_mistyped_argument_reverts_with_its_reason():
 
 
 def test_surface_matches_the_hand_built_list():
+    """The surface, and the amount anchors: these come from every declared
+    uint parameter above 0, which on these scenarios is the set the fixed
+    `price` and `unit` keys give, so a seeded campaign draws the same amounts."""
     kinds = {cd["kind"] for cd in _SCENARIOS["every_kind"].contracts}
     assert kinds == {k for k in CALL_TABLE if is_contract_kind(k)}
     for name, sc in _SCENARIOS.items():
         assert list(_UNIVERSES[name].surface) == reference_dispatch.reference_surface(sc), name
+        assert _UNIVERSES[name].amount_anchors == reference_dispatch.reference_anchors(sc), name
 
 
 def test_contract_kinds_are_validated_against_the_table():

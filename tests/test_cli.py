@@ -52,6 +52,13 @@ def test_run_accepts_scenario_files(tmp_path):
 
 
 _SCENARIO_HEAD = "name: malformed\npricing_tokens: [USD]\n"
+_SALE_BODY = (
+    "tokens:\n  - symbol: USD\n  - symbol: SLT\n"
+    "pairs:\n  - tokens: [SLT, USD]\n    reserves: [1000000, 1000000]\n"
+    "contracts:\n  - name: sale\n    kind: token_sale\n    params: {}\n"
+    "    holdings: {{SLT: 1000000}}\n"
+    "attacker: {{native: 1000}}\n"
+)
 
 
 @pytest.mark.parametrize("body", [
@@ -61,8 +68,11 @@ _SCENARIO_HEAD = "name: malformed\npricing_tokens: [USD]\n"
     "tokens:\n  - symbol: USD\npairs:\n  - tokens: 5\n    reserves: [1, 1]\n",
     "tokens:\n  - symbol: USD\nmacros:\n  - name: m\n    calls: [[USD, [a]]]\n",
     "tokens:\n  - symbol: USD\nvictim_txs:\n  - {sender: attacker, target: USD, fn: [a]}\n",
+    _SALE_BODY.format("{token: SLT}"),
+    _SALE_BODY.format("{token: SLTX, price: 10}"),
 ], ids=["token_not_a_mapping", "unhashable_contract_kind", "macro_call_without_fn",
-        "pair_tokens_not_a_list", "macro_fn_not_a_string", "victim_fn_not_a_string"])
+        "pair_tokens_not_a_list", "macro_fn_not_a_string", "victim_fn_not_a_string",
+        "sale_without_price", "sale_of_an_unknown_token"])
 def test_run_rejects_malformed_scenario_files(body, tmp_path, capsys):
     path = tmp_path / "bad.yaml"
     path.write_text(_SCENARIO_HEAD + body)

@@ -158,7 +158,7 @@ def test_variant_labels():
 
 
 def test_record_schedule_collects_lawful_entries():
-    from popfuzz.maximizer import schedule_law_holds
+    from reference_maximizer import schedule_law_holds
 
     # fee_transfer candidates execute end to end, so the optimizer gets past
     # its repair phase and emits real step-schedule entries

@@ -27,12 +27,11 @@ from popfuzz.maximizer import (
     extract_variables,
     get_variable,
     maximize_sequence,
-    schedule_law_holds,
     sgd_maximize,
 )
 from popfuzz.scenarios import builtin_names, builtin_scenario
 from popfuzz.world import RawCall, Transaction, UINT_MAX
-from reference_maximizer import apply_vector_reference
+from reference_maximizer import apply_vector_reference, schedule_law_holds
 
 
 # --- convergence ------------------------------------------------------------------

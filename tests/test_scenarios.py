@@ -6,7 +6,6 @@ import textwrap
 import pytest
 
 from popfuzz.scenarios import (
-    builtin_corpus,
     builtin_names,
     builtin_scenario,
     ground_truth_optimum,
@@ -27,7 +26,7 @@ def test_builtin_corpus_loads():
         "public_burn",
         "rounding_vault",
     ]
-    assert [s.name for s in builtin_corpus()] == names
+    assert [builtin_scenario(name).name for name in names] == names
     # demo scenarios outside the benchmark corpus still resolve by name
     assert builtin_scenario("fair_pool").name == "fair_pool"
     assert builtin_scenario("staking_id").name == "staking_id"
@@ -86,6 +85,11 @@ def _minimal(**overrides):
     return doc
 
 
+def _sale(params, holdings=None):
+    contract = {"name": "sale", "kind": "token_sale", "params": params, "holdings": holdings}
+    return _minimal(tokens=[{"symbol": "USD"}, {"symbol": "SLT"}], contracts=[contract])
+
+
 @pytest.mark.parametrize(
     "doc,message",
     [
@@ -97,6 +101,18 @@ def _minimal(**overrides):
         (_minimal(contracts=[{"name": "c", "kind": "warp_drive"}]), "unknown kind"),
         (_minimal(attacker={"balances": {"GONE": 1}}), "undeclared token"),
         (_minimal(tokens=[{"symbol": "USD"}, {"symbol": "USD"}]), "duplicate name"),
+        (_sale({"token": "SLT"}), "missing parameter 'price'"),
+        (_sale({"token": "SLTX", "price": 10}), "no known symbol: 'SLTX'"),
+        (_sale({"token": "SLT", "price": 10, "cost": 1}), "unknown parameter 'cost'"),
+        (_sale({"token": "SLT", "price": "10"}), "'price' must be a uint"),
+        (_sale({"token": "SLT", "price": -1}), "'price' must be a uint"),
+        (_sale({"token": "SLT", "price": True}), "'price' must be a uint"),
+        (_sale({"token": 7, "price": 10}), "'token' is no known symbol: 7"),
+        (_sale({"token": "sale", "price": 10}), "no known symbol: 'sale'"),
+        (_sale([1]), "params must be a mapping"),
+        (_sale({"token": "SLT", "price": 10}, {"GONE": 1}), "holds undeclared token 'GONE'"),
+        (_minimal(contracts=[{"name": "r", "kind": "vault_router", "params": {"vault": "v"}}]),
+         "no known address: 'v'"),
     ],
 )
 def test_scenario_diagnostics(doc, message):

@@ -22,7 +22,6 @@ from popfuzz.world import (
     checked_sub,
     execute_sequence,
     make_address,
-    snapshot,
     token_transfer,
 )
 
@@ -246,7 +245,7 @@ def test_overpaying_native_value_reverts():
 def test_snapshot_is_independent_of_the_original():
     sc, state = build_world()
     usd = sc.token_address("USD")
-    snap = snapshot(state)
+    snap = state.copy()
     token_transfer(ctx_for(state, sc.attacker), usd, sc.attacker, RECIPIENT, 10)
     assert snap.balance_of(usd, sc.attacker) == 1_000
     assert state.balance_of(usd, sc.attacker) == 990
