@@ -13,14 +13,9 @@ import argparse
 import datetime
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 
-from .engine import (
-    CampaignConfig,
-    replay_profit,
-    run_campaign,
-    verify_result,
-)
+from .engine import CampaignConfig, replay_profit
 from .actions import TxSequence
 from .reports import (
     TIMESTAMP_FIELD,
@@ -32,7 +27,7 @@ from .reports import (
     serialize_report,
 )
 from .scenarios import Scenario, ScenarioError, builtin_names, builtin_scenario, load_scenario
-from .suite import SUITE_SEEDS, VARIANTS, run_suite
+from .suite import SUITE_SEEDS, VARIANTS, run_campaigns, run_suite
 
 
 def _load_scenario_ref(ref: str) -> Scenario:
@@ -65,38 +60,24 @@ def _write_report(report: dict, out_path: str | None) -> None:
 # --- run ---------------------------------------------------------------------
 
 
-def _campaign_task(args: tuple):
-    ref, config = args
-    scenario = _load_scenario_ref(ref)
-    result = run_campaign(scenario, config)
-    verify_result(scenario, result)
-    return result
-
-
 def cmd_run(args) -> int:
     try:
+        if args.repeat < 1:
+            raise ValueError(f"--repeat must be at least 1, got {args.repeat}")
         scenario = _load_scenario_ref(args.scenario)
         config = CampaignConfig(
             seed=args.seed,
             iterations=args.iterations,
             sgd_budget=args.sgd_budget,
             record_schedule=args.emit_schedule,
-            variant="full" if args.ablation == "none" else args.ablation,
+            variant=VARIANTS[0] if args.ablation == "none" else args.ablation,
         )
     except (ScenarioError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 
-    configs = [
-        CampaignConfig(**{**config.__dict__, "seed": config.seed + i})
-        for i in range(args.repeat)
-    ]
-    if args.repeat > 1:
-        workers = min(args.repeat, os.cpu_count() or 1)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_campaign_task, [(args.scenario, c) for c in configs]))
-    else:
-        results = [_campaign_task((args.scenario, configs[0]))]
+    tasks = [(scenario, replace(config, seed=config.seed + i)) for i in range(args.repeat)]
+    results = run_campaigns(tasks, None)
 
     report = {
         "scenario": scenario.name,
@@ -150,12 +131,8 @@ def cmd_replay(args) -> int:
             )
             return 1
         seq = TxSequence(list(proof.txs), proof.pricing_token)
-        # each proof is replayed under the accounting mode and length cap of
-        # the run that found it
         try:
-            replayed = replay_profit(
-                scenario, seq, full_accounting=config.variant != "noacc", max_len=config.max_len
-            )
+            replayed = replay_profit(scenario, seq, config)
         except ValueError as e:
             print(f"error: {e}", file=sys.stderr)
             return 1
@@ -176,7 +153,7 @@ def cmd_corpus_suite(args) -> int:
         report = run_suite(
             scenarios=scenarios or None or tuple(builtin_names()),
             seeds=tuple(range(1, args.seeds + 1)),
-            variants=VARIANTS if args.ablations else ("full",),
+            variants=VARIANTS if args.ablations else VARIANTS[:1],
             workers=args.workers,
         )
     except ValueError as e:
@@ -218,8 +195,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int, default=1)
     run.add_argument("--iterations", type=int, default=4000)
     run.add_argument("--sgd-budget", type=int, default=2000)
-    run.add_argument("--ablation", choices=("none",) + VARIANTS, default="full",
-                     help="engine variant ('none' is 'full')")
+    run.add_argument("--ablation", choices=("none",) + VARIANTS, default=VARIANTS[0],
+                     help=f"engine variant ('none' is {VARIANTS[0]!r})")
     run.add_argument("--out", help="report path (default: stdout)")
     run.add_argument("--emit-schedule", action="store_true",
                      help="include convergence table and SGD step schedules")

@@ -65,6 +65,11 @@ class CampaignConfig:
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown engine variant {self.variant!r}")
 
+    @property
+    def full_accounting(self) -> bool:
+        """Profits are liquidation values, except under noacc."""
+        return self.variant != "noacc"
+
 
 @dataclass
 class Proof:
@@ -88,7 +93,6 @@ class CampaignStats:
     corpus_candidates: int = 0
     corpus_novel: int = 0
     candidate_counts: dict = field(default_factory=dict)
-    profit_timeline: list = field(default_factory=list)  # (iteration, profit)
 
 
 @dataclass
@@ -161,9 +165,9 @@ def outcome_signature(seq: TxSequence, receipt: ExecutionReceipt) -> tuple:
         if o is prev:  # repeats share one outcome instance
             continue
         prev = o
-        if o.is_victim:
-            continue
         i = o.logical_index
+        if i < 0:  # a victim transaction
+            continue
         ok[i] = ok.get(i, False) or o.ok
         if not o.ok and i not in reason:
             reason[i] = o.reason
@@ -180,36 +184,19 @@ def outcome_signature(seq: TxSequence, receipt: ExecutionReceipt) -> tuple:
 def execute_with_victims(
     scenario: Scenario, base_state, seq: TxSequence, max_len: int, stop_at_dead: bool = False
 ):
-    txs, logical, flags = merge_victim_txs(seq.txs, scenario.victim_txs)
-    return execute_sequence(base_state, txs, max_len, logical, flags, stop_at_dead=stop_at_dead)
+    txs, logical = merge_victim_txs(seq.txs, scenario.victim_txs)
+    return execute_sequence(base_state, txs, max_len, logical, stop_at_dead=stop_at_dead)
 
 
-def replay_profit(
-    scenario: Scenario,
-    seq: TxSequence,
-    full_accounting: bool = True,
-    max_len: int = MAX_SEQUENCE_LEN,
-) -> int:
-    """Recompute a sequence's profit from scratch. Used to verify every proof."""
+def replay_profit(scenario: Scenario, seq: TxSequence, config: CampaignConfig) -> int:
+    """Recompute a sequence's profit from scratch, under the accounting mode
+    and length cap of the run that found it. Used to verify every proof."""
     base = scenario.build_state()
-    cluster = scenario.cluster
-    receipt = execute_with_victims(scenario, base, seq, max_len)
-    initial = account(base, seq.pricing_token, cluster, full_accounting).value
-    final = account(receipt.state, seq.pricing_token, cluster, full_accounting).value
+    cluster, full_acc = scenario.cluster, config.full_accounting
+    receipt = execute_with_victims(scenario, base, seq, config.max_len)
+    initial = account(base, seq.pricing_token, cluster, full_acc).value
+    final = account(receipt.state, seq.pricing_token, cluster, full_acc).value
     return final - initial
-
-
-def _fully_reverted(seq: TxSequence, receipt: ExecutionReceipt) -> bool:
-    """True if some attacker transaction never succeeded in any repeat."""
-    succeeded = set()
-    prev = None
-    for o in receipt.outcomes:
-        if o is prev:  # repeats share one outcome instance
-            continue
-        prev = o
-        if not o.is_victim and o.ok:
-            succeeded.add(o.logical_index)
-    return any(i not in succeeded for i in range(len(seq.txs)))
 
 
 # --- campaign loop -----------------------------------------------------------
@@ -225,7 +212,7 @@ def run_campaign(scenario: Scenario, config: CampaignConfig) -> CampaignResult:
     base = scenario.build_state()
     universe = scenario.universe()
     cluster = scenario.cluster
-    full_acc = config.variant != "noacc"
+    full_acc = config.full_accounting
     noact = config.variant == "noact"
     initial_values = {
         p: account(base, p, cluster, full_acc).value for p in universe.pricing_tokens
@@ -254,9 +241,7 @@ def run_campaign(scenario: Scenario, config: CampaignConfig) -> CampaignResult:
         # a dead attacker transaction makes the objective undefined, so the
         # run can stop at the first one
         receipt = execute(seq, stop_at_dead=True)
-        if _fully_reverted(seq, receipt):
-            return None
-        return profit_of(seq, receipt)
+        return None if receipt.dead else profit_of(seq, receipt)
 
     # profitable structures kept immune to corpus eviction: [structure, profit, seq]
     elite: list = []
@@ -281,7 +266,7 @@ def run_campaign(scenario: Scenario, config: CampaignConfig) -> CampaignResult:
         current = best.get(seq.pricing_token)
         if current is not None and claimed <= current.profit:
             return
-        verified = replay_profit(scenario, seq, full_acc, config.max_len)
+        verified = replay_profit(scenario, seq, config)
         if verified != claimed:
             raise ReplayMismatch(
                 f"{scenario.name}: claimed {claimed} but replay produced {verified}"
@@ -292,7 +277,26 @@ def run_campaign(scenario: Scenario, config: CampaignConfig) -> CampaignResult:
         proof = Proof(seq.pricing_token, list(seq.txs), verified, criteria, it, optimized)
         proofs.append(proof)
         best[seq.pricing_token] = proof
-        stats.profit_timeline.append((it, verified))
+
+    def climb(seq: TxSequence, culprits: tuple, budget: int, to_beat: int,
+              criteria: tuple, it: int) -> None:
+        """One optimizer run from `seq`; records its result if it beats `to_beat`."""
+        result = maximize_sequence(
+            seq,
+            universe,
+            sgd_objective,
+            culprits,
+            sgd_rng,
+            budget=budget,
+            max_restarts=config.sgd_restarts,
+            record_schedule=config.record_schedule,
+        )
+        stats.sgd_evals += result.evals
+        stats.sgd_runs += 1
+        if result.schedule:
+            schedules.append(result.schedule)
+        if result.profit > to_beat:
+            record_best(result.seq, result.profit, criteria, it, optimized=True)
 
     # corpus tiers: candidates (with the criteria that admitted them) are
     # selected CANDIDATE_WEIGHT x as often as novel entries, boosted further
@@ -402,22 +406,7 @@ def run_campaign(scenario: Scenario, config: CampaignConfig) -> CampaignResult:
             run_budget = min(run_budget, config.sgd_total_budget - stats.sgd_evals)
 
         culprits = tuple(sorted({i for cand in found for i in cand.culprits}))
-        result = maximize_sequence(
-            child,
-            universe,
-            sgd_objective,
-            culprits,
-            sgd_rng,
-            budget=run_budget,
-            max_restarts=config.sgd_restarts,
-            record_schedule=config.record_schedule,
-        )
-        stats.sgd_evals += result.evals
-        stats.sgd_runs += 1
-        if config.record_schedule and result.schedule:
-            schedules.append(result.schedule)
-        if result.profit > profit:
-            record_best(result.seq, result.profit, criteria, it, optimized=True)
+        climb(child, culprits, run_budget, profit, criteria, it)
 
     # final polish: the in-loop optimizer only sees each structure once, at
     # admission time; give every winning sequence one more full-budget climb
@@ -425,24 +414,8 @@ def run_campaign(scenario: Scenario, config: CampaignConfig) -> CampaignResult:
     if config.variant != "nogrd":
         for token in sorted(best):
             current = best[token]
-            seq = TxSequence(list(current.txs), token)
-            result = maximize_sequence(
-                seq,
-                universe,
-                sgd_objective,
-                (),
-                sgd_rng,
-                budget=config.sgd_budget,
-                max_restarts=config.sgd_restarts,
-                record_schedule=config.record_schedule,
-            )
-            stats.sgd_evals += result.evals
-            stats.sgd_runs += 1
-            if config.record_schedule and result.schedule:
-                schedules.append(result.schedule)
-            if result.profit > current.profit:
-                record_best(result.seq, result.profit, current.criteria,
-                            config.iterations, optimized=True)
+            climb(TxSequence(list(current.txs), token), (), config.sgd_budget,
+                  current.profit, current.criteria, config.iterations)
 
     stats.iterations = config.iterations
     stats.elapsed = time.perf_counter() - started
@@ -453,10 +426,9 @@ def run_campaign(scenario: Scenario, config: CampaignConfig) -> CampaignResult:
 
 def verify_result(scenario: Scenario, result: CampaignResult) -> None:
     """Re-replay every emitted proof; raises ReplayMismatch on any deviation."""
-    full_acc = result.config.variant != "noacc"
     for proof in result.proofs:
         seq = TxSequence(list(proof.txs), proof.pricing_token)
-        verified = replay_profit(scenario, seq, full_acc, result.config.max_len)
+        verified = replay_profit(scenario, seq, result.config)
         if verified != proof.profit:
             raise ReplayMismatch(
                 f"{scenario.name}: proof at iteration {proof.iteration} claimed "

@@ -156,24 +156,20 @@ def sgd_maximize(
         if step == 0:
             continue
         xp = clamp(i, x[i] + step)
-        if xp == x[i]:
-            # pinned against the domain edge: treat like a revert boundary
-            if abs(alpha[i]) // 2 == 0:
-                retire(i, RETIRE_BOUNDARY)
-            else:
-                record(i, alpha[i], _sign(alpha[i]) * (abs(alpha[i]) // 2), HALVE)
-                alpha[i] = _sign(alpha[i]) * (abs(alpha[i]) // 2)
-            continue
-
-        proposal = list(x)
-        proposal[i] = xp
-        fv = ev(proposal)
+        fv = None
+        if xp != x[i]:
+            proposal = list(x)
+            proposal[i] = xp
+            fv = ev(proposal)
         if fv is None:
-            if abs(alpha[i]) // 2 == 0:
+            # an undefined move, or one pinned against the domain edge: a
+            # revert boundary either way
+            half = _sign(alpha[i]) * (abs(alpha[i]) // 2)
+            if half == 0:
                 retire(i, RETIRE_BOUNDARY)
             else:
-                record(i, alpha[i], _sign(alpha[i]) * (abs(alpha[i]) // 2), HALVE)
-                alpha[i] = _sign(alpha[i]) * (abs(alpha[i]) // 2)
+                record(i, alpha[i], half, HALVE)
+                alpha[i] = half
         elif fv > f0:
             x[i] = xp
             f0 = fv
@@ -341,10 +337,6 @@ def maximize_sequence(
     """
     refs = extract_variables(seq, universe)
     schedule: list = [] if record_schedule else None
-    if not refs:
-        base = evaluate_seq(seq)
-        return MaximizeResult(seq, base if base is not None else 0, 1, schedule or [])
-
     culprit_set = set(culprits)
     order: list[int] = []
     for i, ref in enumerate(refs):

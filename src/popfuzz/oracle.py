@@ -47,7 +47,7 @@ def classify(receipt: ExecutionReceipt, cluster: frozenset) -> list[Candidate]:
         found = set()
         for idx in tx_indices:
             o = outcomes[idx]
-            if o.ok and not o.is_victim and o.logical_index >= 0:
+            if o.ok and o.logical_index >= 0:
                 found.add(o.logical_index)
         return tuple(sorted(found))
 

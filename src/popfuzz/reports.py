@@ -11,7 +11,7 @@ import json
 from typing import Any
 
 from .actions import ActionSpec
-from .engine import CampaignConfig, CampaignResult, CampaignStats, Proof
+from .engine import CampaignConfig, CampaignResult, Proof
 from .world import NATIVE, RawCall, Transaction
 
 
@@ -167,9 +167,10 @@ def config_from_dict(d: dict) -> CampaignConfig:
         raise ReportError(f"malformed config entry: {e}") from e
 
 
-def stats_to_dict(stats: CampaignStats) -> dict:
+def stats_to_dict(result: CampaignResult) -> dict:
     # wall-clock figures (elapsed, tx/s) are deliberately not serialized:
     # reports must be byte-identical across reruns of the same (scenario, config)
+    stats = result.stats
     return {
         "iterations": stats.iterations,
         "executed_txs": stats.executed_txs,
@@ -178,7 +179,8 @@ def stats_to_dict(stats: CampaignStats) -> dict:
         "corpus_candidates": stats.corpus_candidates,
         "corpus_novel": stats.corpus_novel,
         "candidate_counts": dict(sorted(stats.candidate_counts.items())),
-        "profit_timeline": [[it, str(p)] for it, p in stats.profit_timeline],
+        # each proof was a new best for its pricing token when it was recorded
+        "profit_timeline": [[p.iteration, str(p.profit)] for p in result.proofs],
     }
 
 
@@ -190,12 +192,12 @@ def result_to_dict(scenario_name: str, result: CampaignResult, emit_schedule: bo
             pricing: proof_to_dict(proof) for pricing, proof in sorted(result.best.items())
         },
         "proofs": [proof_to_dict(p) for p in result.proofs],
-        "stats": stats_to_dict(result.stats),
+        "stats": stats_to_dict(result),
     }
     if emit_schedule:
         # plot-ready convergence table: best verified profit by iteration
         d["convergence"] = [
-            {"evaluation": it, "profit": str(p)} for it, p in result.stats.profit_timeline
+            {"evaluation": p.iteration, "profit": str(p.profit)} for p in result.proofs
         ]
         d["sgd_schedules"] = [
             [

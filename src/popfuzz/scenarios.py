@@ -1,23 +1,38 @@
 """Scenario corpus: vulnerable target worlds and the declarative file format.
 
-A scenario file is a YAML tree of key/value sections declaring tokens, pairs,
-contracts, the attacker's starting position, pricing tokens, optional victim
-transactions (injected at fixed sequence positions), and optional macros
-(scenario-defined call templates added to the action alphabet).
+A scenario file is a YAML mapping. These are its sections and each entry's
+keys; any other key, a name used twice (across tokens, pairs, contracts,
+victims and the reserved `attacker`, `burn`, `router`) or a mistyped value
+is a ScenarioError. A uint is an int in [0, 2**256 - 1], never a bool; a name
+is a string declared in some section; `[x]` is a list of x.
 
-A contract has a `name`, a `kind`, `params` and optional `holdings` (token
-symbol -> amount). Its kind's entry in `runtime.CONTRACT_KINDS` declares the
-parameters, which become its storage; an address takes any scenario name, a
-symbol a declared token's, and one with a default may be left out:
+    name            string, required
+    tokens          [{symbol: name, public_mint: bool, public_burn: bool,
+                      fee: {rate: uint (per mille), direction: to_pair | both},
+                      holdings: {holder name: uint}}]
+    pairs           [{name: name (default pair<i>), tokens: [symbol, symbol],
+                      reserves: [uint above 0, uint above 0]}]
+    contracts       [{name: name, kind: kind, params: {...}, holdings: {symbol: uint}}]
+    victims         [{name: name (default victim<i>), balances: {symbol: uint}}]
+    attacker        {balances: {symbol: uint}, native: uint}
+    pricing_tokens  [symbol], not empty
+    victim_txs      [{position: uint (attacker txs before it), sender: name,
+                      target: name, fn: string, args: [name | uint], value: uint}]
+    macros          [{name: string, params: [uint | address],
+                      calls: [[target name, fn, [name | uint | sender | {param: uint}]]]}]
+
+Macros are call templates added to the action alphabet. A contract's kind's
+entry in `runtime.CONTRACT_KINDS` declares its parameters, which become its
+storage; an address takes any name, a symbol a declared token's, and one
+with a default may be left out:
 
     token_sale    token: symbol, price: uint, unit: uint = 10**18
     vault         token: symbol, total_shares: uint = 0
     vault_router  vault: address (a vault contract)
     staking       token: symbol, next_ord: uint = 0
 
-Built-in scenarios are embedded as data so tests never depend on external
-files; each carries a ground-truth optimum reproduced by an independent
-brute-force oracle in `ground_truth_optimum`.
+Built-in scenarios are embedded as data; `ground_truth_optimum` recomputes
+their numeric optima with independent brute-force oracles.
 """
 
 from __future__ import annotations
@@ -98,14 +113,14 @@ def scenario_from_dict(raw: dict) -> Scenario:
     try:
         return _scenario_from_dict(raw)
     except (AttributeError, IndexError, KeyError, OverflowError, TypeError, ValueError) as exc:
-        # an entry of the wrong shape: a list where a mapping belongs, a
-        # missing field, an unhashable name, an amount that is no integer
+        # a section of the wrong shape, such as a number where a list
+        # belongs, or an unhashable name
         raise ScenarioError(f"malformed scenario: {exc!r}") from exc
 
 
 def _scenario_from_dict(raw: dict) -> Scenario:
-    if not isinstance(raw, dict):
-        raise ScenarioError("scenario document must be a mapping")
+    _entry(raw, "name tokens pairs contracts victims attacker pricing_tokens victim_txs macros",
+           "scenario document")
     name = raw.get("name")
     if not name or not isinstance(name, str):
         raise ScenarioError("missing scenario name")
@@ -115,73 +130,85 @@ def _scenario_from_dict(raw: dict) -> Scenario:
         "burn": BURN_ADDRESS,
         "router": ROUTER_ADDRESS,
     }
+
+    def bind(entry_name, address: Address, what: str) -> None:
+        if _name(entry_name, what) in names:
+            raise ScenarioError(f"duplicate name {entry_name!r}")
+        names[entry_name] = address
+
+    def address_of(value, what: str) -> Address:
+        if not isinstance(value, str) or value not in names:
+            raise ScenarioError(f"{what} references unknown name {value!r}")
+        return names[value]
+
+    def argument(value, what: str):
+        return address_of(value, what) if isinstance(value, str) else _uint(value, what)
+
     tokens: dict[str, TokenDef] = {}
     for i, td in enumerate(raw.get("tokens", [])):
+        _entry(td, "symbol fee public_mint public_burn holdings", f"token #{i}")
         sym = td.get("symbol")
-        if not sym:
-            raise ScenarioError(f"token #{i} missing symbol")
-        if sym in names:
-            raise ScenarioError(f"duplicate name {sym!r}")
-        addr = make_address(_TOKEN_BASE + i)
-        fee = td.get("fee", {}) or {}
-        tokens[sym] = TokenDef(
-            address=addr,
-            symbol=sym,
-            fee_rate=int(fee.get("rate", 0)),
-            fee_direction=fee.get("direction", "to_pair"),
-            public_mint=bool(td.get("public_mint", False)),
-            public_burn=bool(td.get("public_burn", False)),
-        )
-        names[sym] = addr
+        bind(sym, make_address(_TOKEN_BASE + i), f"token #{i} symbol")
+        fee = _entry(td.get("fee", {}) or {}, "rate direction", f"token {sym!r} fee")
+        direction = fee.get("direction", "to_pair")
+        if direction not in ("to_pair", "both"):
+            raise ScenarioError(f"token {sym!r} fee direction must be to_pair or both")
+        hooks = {key: td.get(key, False) for key in ("public_mint", "public_burn")}
+        for key, flag in hooks.items():
+            if type(flag) is not bool:
+                raise ScenarioError(f"token {sym!r} {key} must be a boolean, got {flag!r}")
+        rate = _uint(fee.get("rate", 0), f"token {sym!r} fee rate")
+        tokens[sym] = TokenDef(names[sym], sym, rate, direction, **hooks)
 
     pairs = []
     for i, pd in enumerate(raw.get("pairs", [])):
-        syms = pd.get("tokens")
-        if not syms or len(syms) != 2:
+        _entry(pd, "name tokens reserves", f"pair #{i}")
+        syms, reserves = pd.get("tokens"), pd.get("reserves")
+        if not isinstance(syms, list) or len(syms) != 2:
             raise ScenarioError(f"pair #{i} must list exactly two tokens")
         for s in syms:
             if s not in tokens:
                 raise ScenarioError(f"pair #{i} references undeclared token {s!r}")
-        reserves = pd.get("reserves")
-        if not reserves or len(reserves) != 2 or any(int(r) <= 0 for r in reserves):
+        if not isinstance(reserves, list) or len(reserves) != 2 or 0 in [
+            _uint(r, f"pair #{i} reserve") for r in reserves
+        ]:
             raise ScenarioError(f"pair #{i} needs two positive reserves")
+        address = make_address(_PAIR_BASE + i)
+        bind(pd.get("name", f"pair{i}"), address, f"pair #{i} name")
         pairs.append(
             {
-                "address": make_address(_PAIR_BASE + i),
+                "address": address,
                 "lp_address": make_address(_LP_BASE + i),
                 "symbols": tuple(syms),
-                "reserves": (int(reserves[0]), int(reserves[1])),
+                "reserves": tuple(reserves),
             }
         )
-        names[pd.get("name", f"pair{i}")] = pairs[-1]["address"]
 
     contracts = []
     for i, cd in enumerate(raw.get("contracts", [])):
-        cname = cd.get("name")
-        kind = cd.get("kind")
-        if not cname:
-            raise ScenarioError(f"contract #{i} missing name")
+        _entry(cd, "name kind params holdings", f"contract #{i}")
+        cname, kind = cd.get("name"), cd.get("kind")
+        address = make_address(_CONTRACT_BASE + i)
+        bind(cname, address, f"contract #{i} name")
         if not runtime.is_contract_kind(kind):
             raise ScenarioError(f"contract {cname!r} has unknown kind {kind!r}")
-        addr = make_address(_CONTRACT_BASE + i)
         contracts.append(
             {
-                "address": addr,
+                "address": address,
                 "name": cname,
                 "kind": kind,
                 "params": cd.get("params", {}) or {},  # resolved once all names are known
                 "holdings": _amounts(f"contract {cname!r}", cd.get("holdings"), tokens),
             }
         )
-        names[cname] = addr
 
     victims: dict[str, Address] = {}
     victim_balances: dict[tuple[str, str], int] = {}
     for i, vd in enumerate(raw.get("victims", [])):
+        _entry(vd, "name balances", f"victim #{i}")
         vname = vd.get("name", f"victim{i}")
-        addr = make_address(_VICTIM_BASE + i)
-        victims[vname] = addr
-        names[vname] = addr
+        bind(vname, make_address(_VICTIM_BASE + i), f"victim #{i} name")
+        victims[vname] = names[vname]
         for sym, amt in _amounts(f"victim {vname!r}", vd.get("balances"), tokens).items():
             victim_balances[(vname, sym)] = amt
 
@@ -189,14 +216,7 @@ def _scenario_from_dict(raw: dict) -> Scenario:
     for cd in contracts:
         cd["params"] = _contract_params(cd, names, symbols)
 
-    def resolve(value, what: str):
-        if isinstance(value, str):
-            if value not in names:
-                raise ScenarioError(f"{what} references unknown name {value!r}")
-            return names[value]
-        return int(value)
-
-    attacker_cfg = raw.get("attacker", {}) or {}
+    attacker_cfg = _entry(raw.get("attacker", {}) or {}, "balances native", "attacker")
     attacker_balances = _amounts("attacker", attacker_cfg.get("balances"), tokens)
 
     pricing = raw.get("pricing_tokens") or []
@@ -209,52 +229,57 @@ def _scenario_from_dict(raw: dict) -> Scenario:
         pricing_addrs.append(tokens[sym].address)
 
     token_holdings = {}
-    for i, td in enumerate(raw.get("tokens", [])):
+    for sym, td in zip(tokens, raw.get("tokens", [])):
         for holder, amt in (td.get("holdings", {}) or {}).items():
-            token_holdings[(td["symbol"], resolve(holder, f"token {td['symbol']} holding"))] = int(amt)
+            what = f"token {sym} holding"
+            token_holdings[(sym, address_of(holder, what))] = _uint(amt, what)
 
     victim_txs = []
     for i, vt in enumerate(raw.get("victim_txs", [])):
-        sender = resolve(vt.get("sender"), f"victim tx #{i} sender")
-        target = resolve(vt.get("target"), f"victim tx #{i} target")
-        args = tuple(resolve(a, f"victim tx #{i} arg") for a in vt.get("args", []) or [])
+        what = f"victim tx #{i}"
+        _entry(vt, "position sender target fn args value", what)
+        sender = address_of(vt.get("sender"), f"{what} sender")
+        target = address_of(vt.get("target"), f"{what} target")
+        args = tuple(argument(a, f"{what} arg") for a in vt.get("args", []) or [])
         fn = vt.get("fn", "")
         if not isinstance(fn, str):
-            raise ScenarioError(f"victim tx #{i} function name must be a string")
-        victim_txs.append(
-            VictimTx(
-                position=int(vt.get("position", 0)),
-                tx=Transaction(
-                    sender,
-                    RawCall(target, fn, args),
-                    value=int(vt.get("value", 0)),
-                ),
-            )
-        )
+            raise ScenarioError(f"{what} function name must be a string")
+        value = _uint(vt.get("value", 0), f"{what} value")
+        position = _uint(vt.get("position", 0), f"{what} position")
+        victim_txs.append(VictimTx(position, Transaction(sender, RawCall(target, fn, args), value)))
 
     macros = {}
     for md in raw.get("macros", []) or []:
+        _entry(md, "name params calls", "macro")
         mname = md.get("name")
         if not mname:
             raise ScenarioError("macro missing name")
+        if mname in macros:
+            raise ScenarioError(f"duplicate macro name {mname!r}")
         params = tuple(md.get("params", []) or [])
+        for t in params:
+            if t not in ("uint", "address"):
+                raise ScenarioError(f"macro {mname!r} parameter type must be uint or address")
         calls = []
         for call in md.get("calls", []) or []:
+            if not isinstance(call, list) or not 2 <= len(call) <= 3:
+                raise ScenarioError(f"macro {mname!r} call must be [target, fn] or [target, fn, args]")
             target, fn, template = call[0], call[1], call[2] if len(call) > 2 else []
             if not isinstance(fn, str):
                 raise ScenarioError(f"macro {mname!r} function name must be a string")
             resolved_template = []
             for item in template:
-                if isinstance(item, dict) and "param" in item:
-                    idx = int(item["param"])
+                if isinstance(item, dict):
+                    _entry(item, "param", f"macro {mname!r} template item")
+                    idx = _uint(item.get("param"), f"macro {mname!r} param index")
                     if idx >= len(params):
                         raise ScenarioError(f"macro {mname!r} param index {idx} out of range")
                     resolved_template.append(("param", idx))
                 elif item == "sender":
                     resolved_template.append(("sender",))
                 else:
-                    resolved_template.append(resolve(item, f"macro {mname!r} arg"))
-            calls.append((resolve(target, f"macro {mname!r} target"), fn, tuple(resolved_template)))
+                    resolved_template.append(argument(item, f"macro {mname!r} arg"))
+            calls.append((address_of(target, f"macro {mname!r} target"), fn, tuple(resolved_template)))
         macros[mname] = MacroDef(mname, params, tuple(calls))
 
     return Scenario(
@@ -265,7 +290,7 @@ def _scenario_from_dict(raw: dict) -> Scenario:
         contracts=contracts,
         attacker=ATTACKER,
         attacker_balances=attacker_balances,
-        attacker_native=int(attacker_cfg.get("native", 0)),
+        attacker_native=_uint(attacker_cfg.get("native", 0), "attacker native"),
         victims=victims,
         victim_balances=victim_balances,
         pricing_tokens=pricing_addrs,
@@ -275,13 +300,36 @@ def _scenario_from_dict(raw: dict) -> Scenario:
     )
 
 
+def _entry(value, keys: str, what: str) -> dict:
+    """`value`, which must be a mapping whose keys are among the space-separated `keys`."""
+    if not isinstance(value, dict):
+        raise ScenarioError(f"{what} must be a mapping")
+    for key in value:
+        if key not in keys.split():
+            raise ScenarioError(f"{what} has unknown key {key!r}")
+    return value
+
+
+def _name(value, what: str) -> str:
+    if not isinstance(value, str) or not value:
+        raise ScenarioError(f"{what} must be a name, got {value!r}")
+    return value
+
+
+def _uint(value, what: str) -> int:
+    """`value`, which must be an int (not a bool) in [0, UINT_MAX]."""
+    if type(value) is not int or not 0 <= value <= UINT_MAX:
+        raise ScenarioError(f"{what} must be a uint, got {value!r}")
+    return value
+
+
 def _amounts(holder: str, amounts, tokens: dict) -> dict[str, int]:
     """A holder's amounts by token symbol; every symbol must be declared."""
     amounts = amounts or {}
     for sym in amounts:
         if sym not in tokens:
             raise ScenarioError(f"{holder} holds undeclared token {sym!r}")
-    return {sym: int(amt) for sym, amt in amounts.items()}
+    return {sym: _uint(amt, f"{holder} amount of {sym}") for sym, amt in amounts.items()}
 
 
 def _contract_params(cd: dict, names: dict, symbols: dict) -> dict:
@@ -301,8 +349,7 @@ def _contract_params(cd: dict, names: dict, symbols: dict) -> dict:
         if value is None:
             raise ScenarioError(f"{what} is missing parameter {key!r}")
         if param.type == runtime.UINT:
-            if type(value) is not int or not 0 <= value <= UINT_MAX:
-                raise ScenarioError(f"{what} parameter {key!r} must be a uint, got {value!r}")
+            _uint(value, f"{what} parameter {key!r}")
         else:
             scope = symbols if param.type == runtime.SYMBOL else names
             if not isinstance(value, str) or value not in scope:
@@ -434,32 +481,26 @@ def _build_universe(sc: Scenario) -> Universe:
     )
 
 
-def merge_victim_txs(
-    attacker_txs: list, victim_txs: list[VictimTx]
-) -> tuple[list, list, list]:
+def merge_victim_txs(attacker_txs: list, victim_txs: list[VictimTx]) -> tuple[list, list]:
     """Interleave victim transactions at their declared positions.
 
-    Returns (txs, logical_indices, victim_flags); logical indices point into
-    the attacker sequence, victim entries carry -1.
+    Returns (txs, logical_indices); logical indices point into the attacker
+    sequence, victim entries carry -1.
     """
-    txs, logical, flags = [], [], []
+    txs, logical = [], []
     pending = sorted(enumerate(victim_txs), key=lambda iv: (iv[1].position, iv[0]))
     vi = 0
     for i, tx in enumerate(attacker_txs):
         while vi < len(pending) and pending[vi][1].position <= i:
             txs.append(pending[vi][1].tx)
             logical.append(-1)
-            flags.append(True)
             vi += 1
         txs.append(tx)
         logical.append(i)
-        flags.append(False)
-    while vi < len(pending):
-        txs.append(pending[vi][1].tx)
+    for _, vt in pending[vi:]:
+        txs.append(vt.tx)
         logical.append(-1)
-        flags.append(True)
-        vi += 1
-    return txs, logical, flags
+    return txs, logical
 
 
 # --- built-in corpus --------------------------------------------------------

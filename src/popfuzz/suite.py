@@ -75,9 +75,6 @@ class SuiteReport:
             if c.variant == variant and (scenario is None or c.scenario == scenario)
         )
 
-    def positive_scenarios(self, variant: str) -> set:
-        return {c.scenario for c in self.cells if c.variant == variant and c.profit > 0}
-
     def matrix(self) -> list:
         """Rows per scenario: best profit per variant plus percent of full."""
         rows = []
@@ -94,12 +91,25 @@ class SuiteReport:
         return rows
 
 
-def _run_cell(task) -> tuple:
-    name, seed, variant = task
-    scenario = builtin_scenario(name)
-    result = run_campaign(scenario, suite_config(name, seed, variant))
+def _verified_campaign(task: tuple) -> CampaignResult:
+    scenario, config = task
+    result = run_campaign(scenario, config)
     verify_result(scenario, result)
-    return task, result
+    return result
+
+
+def run_campaigns(tasks: list, workers: int | None) -> list:
+    """Run and verify each (scenario, config) task; results in task order.
+
+    More than one task fans out over `workers` processes (by default one per
+    core, up to one per task); every worker has exited when this returns.
+    """
+    if workers is None:
+        workers = min(len(tasks), os.cpu_count() or 1)
+    if workers <= 1 or len(tasks) <= 1:
+        return [_verified_campaign(task) for task in tasks]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(_verified_campaign, tasks))
 
 
 def run_suite(
@@ -112,18 +122,8 @@ def run_suite(
     for name in scenarios:
         if name not in known:
             raise ValueError(f"unknown built-in scenario {name!r}")
-    tasks = [(n, s, v) for n in scenarios for s in seeds for v in variants]
-    report = SuiteReport()
-    if workers is None:
-        workers = min(len(tasks), os.cpu_count() or 1)
-    if workers <= 1 or len(tasks) == 1:
-        outcomes = map(_run_cell, tasks)
-    else:
-        pool = ProcessPoolExecutor(max_workers=workers)
-        try:
-            outcomes = list(pool.map(_run_cell, tasks))
-        finally:
-            pool.shutdown()
-    for (name, seed, variant), result in outcomes:
-        report.cells.append(SuiteCell(name, seed, variant, result))
-    return report
+    cells = [(n, s, v) for n in scenarios for s in seeds for v in variants]
+    loaded = {name: builtin_scenario(name) for name in scenarios}
+    tasks = [(loaded[n], suite_config(n, s, v)) for n, s, v in cells]
+    results = run_campaigns(tasks, workers)
+    return SuiteReport([SuiteCell(*cell, result) for cell, result in zip(cells, results)])

@@ -259,20 +259,10 @@ class PairCheck(NamedTuple):
     tx_index: int
 
 
-RETURNED = "returned"
-REVERTED = "reverted"
-
-
-@dataclass(frozen=True)
-class TxOutcome:
-    status: str  # RETURNED or REVERTED
+class TxOutcome(NamedTuple):
+    ok: bool
     reason: str = ""
     logical_index: int = -1  # index into the attacker sequence, -1 for victim txs
-    is_victim: bool = False
-    ok: bool = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "ok", self.status == RETURNED)
 
 
 @dataclass
@@ -282,6 +272,7 @@ class ExecutionReceipt:
     native_flows: list[NativeFlow]
     pair_checks: list[PairCheck]
     state: WorldState
+    dead: bool  # some attacker transaction reverted on its first repeat
 
 
 class CallContext:
@@ -388,20 +379,24 @@ def execute_sequence(
     txs: list[Transaction],
     max_len: int = 16,
     logical_indices: Optional[list[int]] = None,
-    victim_flags: Optional[list[bool]] = None,
     *,
     stop_at_dead: bool = False,
 ) -> ExecutionReceipt:
     """Run a transaction list over a copy of `state`.
 
-    Each repeat of a transaction is an independent transaction: a failing
-    repetition reverts only itself. Execution continues past reverts, unless
-    `stop_at_dead` is set: then it stops as soon as the first repeat of a
-    non-victim transaction reverts, since that transaction can never succeed.
-    The receipt then ends with that transaction's outcomes, every list in it
-    is a prefix of the full run's, and its state is the state at the stop.
+    `logical_indices[pos]` is transaction pos's index in the attacker
+    sequence, or -1 for a victim transaction; by default every transaction
+    is the attacker's. Each repeat of a transaction is an independent
+    transaction: a failing repetition reverts only itself. An attacker
+    transaction whose first repeat reverts can never succeed, which marks the
+    receipt `dead`. Execution continues past reverts, unless `stop_at_dead`
+    is set: then it stops at the first such transaction. The receipt then ends
+    with that transaction's outcomes, every list in it is a prefix of the full
+    run's, and its state is the state at the stop.
     """
-    n_logical = len(txs) if victim_flags is None else sum(1 for v in victim_flags if not v)
+    if logical_indices is None:
+        logical_indices = range(len(txs))
+    n_logical = sum(1 for i in logical_indices if i >= 0)
     if n_logical > max_len:
         raise ValueError(f"sequence length {n_logical} exceeds max {max_len}")
 
@@ -411,6 +406,7 @@ def execute_sequence(
     events: list[TransferEvent] = []
     native_flows: list[NativeFlow] = []
     pair_checks: list[PairCheck] = []
+    dead = False
     balances = work.balances
     # Rollback restores pair fields in place, so the pair objects stay the
     # same for the whole run. ks[i] is pair i's reserve product at the start
@@ -419,10 +415,7 @@ def execute_sequence(
     ks = [p.reserve0 * p.reserve1 for _, p in pairs]
 
     tx_index = 0
-    for pos, tx in enumerate(txs):
-        logical = logical_indices[pos] if logical_indices is not None else pos
-        is_victim = victim_flags[pos] if victim_flags is not None else False
-
+    for tx, logical in zip(txs, logical_indices):
         # Each repeat starts with an empty journal, which marks the state it
         # started from, and records its transfers straight into `events`. If
         # repeat r reverts, rolling the journal back and truncating `events`
@@ -431,7 +424,7 @@ def execute_sequence(
         # revert identically: they are short-circuited.
         # All repeats of one transaction share the same outcome values, so a
         # single immutable instance is reused for every repetition.
-        returned = TxOutcome(RETURNED, "", logical, is_victim)
+        returned = TxOutcome(True, "", logical)
         kind, value = tx.kind, tx.value
         ctx = CallContext(work, tx.sender, value, tx_index, events)
         for rep in range(tx.repeat):
@@ -445,7 +438,7 @@ def execute_sequence(
                 work.rollback()
                 del events[n_events:]
                 left = tx.repeat - rep
-                outcomes.extend([TxOutcome(REVERTED, exc.reason, logical, is_victim)] * left)
+                outcomes.extend([TxOutcome(False, exc.reason, logical)] * left)
                 tx_index += left
                 break
             journal.clear()
@@ -465,8 +458,10 @@ def execute_sequence(
         else:
             continue
         # repeat `rep` reverted; if it was the first, the rest were short-circuited
-        if stop_at_dead and rep == 0 and not is_victim:
-            break
+        if rep == 0 and logical >= 0:
+            dead = True
+            if stop_at_dead:
+                break
 
     work.journal = None
-    return ExecutionReceipt(outcomes, events, native_flows, pair_checks, work)
+    return ExecutionReceipt(outcomes, events, native_flows, pair_checks, work, dead)

@@ -12,8 +12,6 @@ from typing import Optional
 
 from popfuzz.runtime import dispatch
 from popfuzz.world import (
-    REVERTED,
-    RETURNED,
     CallContext,
     ExecutionReceipt,
     NativeFlow,
@@ -51,9 +49,10 @@ def execute_sequence_reference(
     txs: list[Transaction],
     max_len: int = 16,
     logical_indices: Optional[list[int]] = None,
-    victim_flags: Optional[list[bool]] = None,
 ) -> ExecutionReceipt:
-    n_logical = len(txs) if victim_flags is None else sum(1 for v in victim_flags if not v)
+    if logical_indices is None:
+        logical_indices = list(range(len(txs)))
+    n_logical = sum(1 for i in logical_indices if i >= 0)
     if n_logical > max_len:
         raise ValueError(f"sequence length {n_logical} exceeds max {max_len}")
 
@@ -62,18 +61,18 @@ def execute_sequence_reference(
     events: list[TransferEvent] = []
     native_flows: list[NativeFlow] = []
     pair_checks: list[PairCheck] = []
+    dead = False
 
     tx_index = 0
     for pos, tx in enumerate(txs):
-        logical = logical_indices[pos] if logical_indices is not None else pos
-        is_victim = victim_flags[pos] if victim_flags is not None else False
+        logical = logical_indices[pos]
 
         # One snapshot covers all repeats of this transaction. If repeat r
         # reverts, the pre-transaction state is restored and the r successful
         # repeats are re-run without re-recording; every later repeat reverts
         # identically and is short-circuited.
         block_snap = work.copy()
-        returned = TxOutcome(RETURNED, "", logical, is_victim)
+        returned = TxOutcome(True, "", logical)
         for rep in range(tx.repeat):
             pairs = work.pairs
             pre_k = {a: p.reserve0 * p.reserve1 for a, p in pairs.items()} if pairs else None
@@ -87,7 +86,8 @@ def execute_sequence_reference(
                     run_transaction(work, tx, tx_index, discard)
                     discard.clear()
                 left = tx.repeat - rep
-                outcomes.extend([TxOutcome(REVERTED, exc.reason, logical, is_victim)] * left)
+                outcomes.extend([TxOutcome(False, exc.reason, logical)] * left)
+                dead = dead or (rep == 0 and logical >= 0)
                 tx_index += left
                 break
             else:
@@ -109,4 +109,4 @@ def execute_sequence_reference(
                         )
                 tx_index += 1
 
-    return ExecutionReceipt(outcomes, events, native_flows, pair_checks, work)
+    return ExecutionReceipt(outcomes, events, native_flows, pair_checks, work, dead)

@@ -39,7 +39,7 @@ def classify_reference(receipt: ExecutionReceipt, cluster: frozenset) -> list[Ca
     def attacker_logical(tx_index: int):
         """Logical index of a successful attacker transaction, else None."""
         o = outcomes[tx_index]
-        if o.ok and not o.is_victim and o.logical_index >= 0:
+        if o.ok and o.logical_index >= 0:
             return o.logical_index
         return None
 

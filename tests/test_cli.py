@@ -40,6 +40,11 @@ def test_run_exit_codes():
     assert run_cli("run", "--scenario", "fair_pool", "--iterations", "150") == 2
 
 
+def test_run_rejects_a_repeat_below_one(capsys):
+    assert run_cli("run", "--scenario", "fair_pool", "--iterations", "10", "--repeat", "0") == 1
+    assert capsys.readouterr().err.startswith("error: --repeat must be at least 1")
+
+
 def test_run_accepts_scenario_files(tmp_path):
     path = tmp_path / "s.yaml"
     path.write_text(
@@ -70,9 +75,12 @@ _SALE_BODY = (
     "tokens:\n  - symbol: USD\nvictim_txs:\n  - {sender: attacker, target: USD, fn: [a]}\n",
     _SALE_BODY.format("{token: SLT}"),
     _SALE_BODY.format("{token: SLTX, price: 10}"),
+    "tokens:\n  - symbol: USD\nvictim_tx:\n  - {sender: attacker, target: USD, fn: approve}\n",
+    "tokens:\n  - {symbol: USD, public_mint: 'no'}\n",
 ], ids=["token_not_a_mapping", "unhashable_contract_kind", "macro_call_without_fn",
         "pair_tokens_not_a_list", "macro_fn_not_a_string", "victim_fn_not_a_string",
-        "sale_without_price", "sale_of_an_unknown_token"])
+        "sale_without_price", "sale_of_an_unknown_token", "misspelt_section",
+        "mint_flag_not_a_boolean"])
 def test_run_rejects_malformed_scenario_files(body, tmp_path, capsys):
     path = tmp_path / "bad.yaml"
     path.write_text(_SCENARIO_HEAD + body)

@@ -110,7 +110,7 @@ def test_replay_profit_of_a_neutral_sequence_is_zero(mint_scenario):
     seq = TxSequence(
         [Transaction(sc.attacker, RawCall(usd, "approve", (sc.attacker, 5)))], usd
     )
-    assert replay_profit(sc, seq) == 0
+    assert replay_profit(sc, seq, CampaignConfig()) == 0
 
 
 def test_replay_profit_matches_accounting_delta(mint_scenario):
@@ -123,13 +123,14 @@ def test_replay_profit_matches_accounting_delta(mint_scenario):
     for full in (True, False):
         initial = account(state, usd, sc.cluster, full).value
         final = account(receipt.state, usd, sc.cluster, full).value
-        assert replay_profit(sc, seq, full_accounting=full) == final - initial
-    assert replay_profit(sc, seq) > 0
+        config = CampaignConfig(variant="full" if full else "noacc")
+        assert replay_profit(sc, seq, config) == final - initial
+    assert replay_profit(sc, seq, CampaignConfig()) > 0
 
 
 def test_profit_timeline_is_strictly_improving(mint_scenario):
     result = run_campaign(mint_scenario, small_config())
-    profits = [p for _, p in result.stats.profit_timeline]
+    profits = [p.profit for p in result.proofs]
     assert profits == sorted(profits)
     assert len(set(profits)) == len(profits)
 

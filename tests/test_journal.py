@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from popfuzz.actions import A4_PAIR_SWAP, ActionSpec, TxSequence, random_transaction
-from popfuzz.engine import _fully_reverted
 from popfuzz.scenarios import builtin_names, builtin_scenario, merge_victim_txs, scenario_from_dict
 from popfuzz.world import RawCall, Transaction, execute_sequence, make_address
 from reference_executor import execute_sequence_reference
@@ -23,7 +22,13 @@ _UNIVERSES = {name: sc.universe() for name, sc in _SCENARIOS.items()}
 
 
 def _outcome_rows(receipt):
-    return [(o.status, o.reason, o.logical_index, o.is_victim) for o in receipt.outcomes]
+    return [(o.ok, o.reason, o.logical_index) for o in receipt.outcomes]
+
+
+def _fully_reverted(seq, receipt):
+    """True if some attacker transaction never succeeded in any repeat."""
+    succeeded = {o.logical_index for o in receipt.outcomes if o.ok and o.logical_index >= 0}
+    return any(i not in succeeded for i in range(len(seq.txs)))
 
 
 def assert_same_receipt(got, want):
@@ -49,9 +54,9 @@ def test_journaled_executor_matches_reference(name, seed, length, noact):
     scenario, base, universe = _SCENARIOS[name], _BASES[name], _UNIVERSES[name]
     rng = random.Random(seed)
     attacker_txs = [random_transaction(rng, universe, noact) for _ in range(length)]
-    txs, logical, flags = merge_victim_txs(attacker_txs, scenario.victim_txs)
-    want = execute_sequence_reference(base, txs, 16, logical, flags)
-    got = execute_sequence(base, txs, 16, logical, flags)
+    txs, logical = merge_victim_txs(attacker_txs, scenario.victim_txs)
+    want = execute_sequence_reference(base, txs, 16, logical)
+    got = execute_sequence(base, txs, 16, logical)
     assert_same_receipt(got, want)
     assert base == _SCENARIOS[name].build_state()  # the input state is untouched
 
@@ -207,14 +212,15 @@ def test_early_exit_matches_full_run(name, seed, length, noact):
     rng = random.Random(seed)
     attacker_txs = [random_transaction(rng, universe, noact) for _ in range(length)]
     seq = TxSequence(attacker_txs, universe.pricing_tokens[0])
-    txs, logical, flags = merge_victim_txs(attacker_txs, scenario.victim_txs)
-    full = execute_sequence(base, txs, 16, logical, flags)
-    early = execute_sequence(base, txs, 16, logical, flags, stop_at_dead=True)
+    txs, logical = merge_victim_txs(attacker_txs, scenario.victim_txs)
+    full = execute_sequence(base, txs, 16, logical)
+    early = execute_sequence(base, txs, 16, logical, stop_at_dead=True)
     victim_repeats = sum(v.tx.repeat for v in scenario.victim_txs)
     assert len(full.outcomes) == victim_repeats + sum(tx.repeat for tx in attacker_txs)
     assert early.state.journal is None
     dead = _fully_reverted(seq, full)
     assert _fully_reverted(seq, early) == dead
+    assert full.dead == early.dead == dead
     if not dead:
         assert_same_receipt(early, full)
         return
@@ -222,10 +228,10 @@ def test_early_exit_matches_full_run(name, seed, length, noact):
     # the run stopped right after the first attacker transaction whose first
     # repeat reverted, in the state that the transactions before it left
     last = early.outcomes[-1]
-    assert not last.ok and not last.is_victim
+    assert not last.ok and last.logical_index >= 0
     stop = logical.index(last.logical_index)
     assert len(early.outcomes) == sum(tx.repeat for tx in txs[: stop + 1])
-    upto = execute_sequence(base, txs[: stop + 1], 16, logical[: stop + 1], flags[: stop + 1])
+    upto = execute_sequence(base, txs[: stop + 1], 16, logical[: stop + 1])
     assert_same_receipt(early, upto)
 
 
@@ -240,9 +246,8 @@ def test_early_exit_passes_victim_reverts_and_later_repeat_reverts():
     ok = Transaction(sc.attacker, RawCall(usd, "transfer", (RECIPIENT, 1)))
     txs = [dead, drain, ok, dead, ok]
     logical = [-1, 0, 1, 2, 3]
-    flags = [True, False, False, False, False]
-    full = execute_sequence(base, txs, 16, logical, flags)
-    early = execute_sequence(base, txs, 16, logical, flags, stop_at_dead=True)
+    full = execute_sequence(base, txs, 16, logical)
+    early = execute_sequence(base, txs, 16, logical, stop_at_dead=True)
     assert [o.ok for o in full.outcomes] == [False, True, False, True, False, True]
     # neither the victim's revert nor drain's second repeat stops the run
     assert [o.ok for o in early.outcomes] == [False, True, False, True, False]

@@ -19,8 +19,6 @@ from popfuzz.oracle import (
 from popfuzz.scenarios import builtin_names, builtin_scenario, merge_victim_txs
 from popfuzz.world import (
     BURN_ADDRESS,
-    REVERTED,
-    RETURNED,
     UINT_MAX,
     ExecutionReceipt,
     NativeFlow,
@@ -55,8 +53,8 @@ def test_oracle_matches_reference(name, seed, length, noact, extra_member):
     scenario, base, universe = _SCENARIOS[name], _BASES[name], _UNIVERSES[name]
     rng = random.Random(seed)
     attacker_txs = [random_transaction(rng, universe, noact) for _ in range(length)]
-    txs, logical, flags = merge_victim_txs(attacker_txs, scenario.victim_txs)
-    receipt = execute_sequence(base, txs, 16, logical, flags)
+    txs, logical = merge_victim_txs(attacker_txs, scenario.victim_txs)
+    receipt = execute_sequence(base, txs, 16, logical)
 
     assert classify(receipt, scenario.cluster) == classify_reference(receipt, scenario.cluster)
     # a wider cluster (a pair, a contract, the burn address...) exercises the
@@ -84,12 +82,13 @@ CLUSTER = frozenset({ATTACKER, HELPER})
 
 def _receipt(outcomes, events, native_flows=(), pair_checks=()):
     return ExecutionReceipt(
-        list(outcomes), list(events), list(native_flows), list(pair_checks), WorldState()
+        list(outcomes), list(events), list(native_flows), list(pair_checks), WorldState(),
+        False,
     )
 
 
 def _ok(logical):
-    return TxOutcome(RETURNED, "", logical, False)
+    return TxOutcome(True, "", logical)
 
 
 def _transfer(src, dst, tx_index, amount=5):
@@ -158,8 +157,8 @@ def test_a_burn_address_inside_the_cluster_counts_as_gain_and_burn():
 
 
 def test_victim_and_reverted_transactions_are_never_culprits():
-    victim = TxOutcome(RETURNED, "", -1, True)
-    reverted = TxOutcome(REVERTED, "boom", 1, False)
+    victim = TxOutcome(True, "", -1)
+    reverted = TxOutcome(False, "boom", 1)
     receipt = _receipt(
         [victim, _ok(0), reverted, _ok(2)],
         [

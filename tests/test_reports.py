@@ -4,7 +4,7 @@ diagnostics, and timestamp handling."""
 import pytest
 
 from popfuzz.actions import A2_ROUTER_SWAP, A4_PAIR_SWAP, ActionSpec
-from popfuzz.engine import CampaignConfig, Proof
+from popfuzz.engine import CampaignConfig, CampaignResult, CampaignStats, Proof
 from popfuzz.reports import (
     ReportError,
     TIMESTAMP_FIELD,
@@ -13,6 +13,7 @@ from popfuzz.reports import (
     parse_report,
     proof_from_dict,
     proof_to_dict,
+    result_to_dict,
     serialize_report,
     strip_timestamp,
     tx_from_dict,
@@ -56,6 +57,22 @@ def test_proof_round_trip():
     )
     back = proof_from_dict(proof_to_dict(proof))
     assert back == proof
+
+
+def test_timeline_and_convergence_list_every_proof_in_order():
+    proofs = [
+        Proof(token, [], profit, ("positive_profit",), it, False)
+        for it, profit, token in ((3, 5, ADDR), (9, 40, ADDR), (12, 7, ADDR2))
+    ]
+    result = CampaignResult(CampaignConfig(), {ADDR: proofs[1], ADDR2: proofs[2]}, proofs,
+                            CampaignStats())
+    d = result_to_dict("s", result, emit_schedule=True)
+    assert d["stats"]["profit_timeline"] == [[3, "5"], [9, "40"], [12, "7"]]
+    assert d["convergence"] == [
+        {"evaluation": 3, "profit": "5"},
+        {"evaluation": 9, "profit": "40"},
+        {"evaluation": 12, "profit": "7"},
+    ]
 
 
 def test_config_round_trip_covers_every_variant():

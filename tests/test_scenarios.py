@@ -113,6 +113,45 @@ def _sale(params, holdings=None):
         (_sale({"token": "SLT", "price": 10}, {"GONE": 1}), "holds undeclared token 'GONE'"),
         (_minimal(contracts=[{"name": "r", "kind": "vault_router", "params": {"vault": "v"}}]),
          "no known address: 'v'"),
+        # unknown keys, at the top level and in an entry
+        (_minimal(victim_tx=[]), "scenario document has unknown key 'victim_tx'"),
+        (_minimal(tokens=[{"symbol": "USD", "public_mnt": True}]), "unknown key 'public_mnt'"),
+        (_minimal(tokens=[{"symbol": "USD", "fee": {"rate": 1, "dir": "both"}}]),
+         "fee has unknown key 'dir'"),
+        # a name used twice across sections
+        (_minimal(contracts=[{"name": "USD", "kind": "vault", "params": {"token": "USD"}}]),
+         "duplicate name 'USD'"),
+        (_minimal(victims=[{"name": "attacker"}]), "duplicate name 'attacker'"),
+        (_minimal(tokens=[{"symbol": "USD"}, {"symbol": "TKN"}],
+                  pairs=[{"name": "TKN", "tokens": ["TKN", "USD"], "reserves": [1, 1]}]),
+         "duplicate name 'TKN'"),
+        # mistyped values
+        (_minimal(pairs=[{"tokens": ["USD", "USD"], "reserves": [1.5, 1]}]),
+         "reserve must be a uint, got 1.5"),
+        (_minimal(attacker={"balances": {"USD": True}}), "amount of USD must be a uint, got True"),
+        (_minimal(attacker={"native": -3}), "attacker native must be a uint, got -3"),
+        (_minimal(tokens=[{"symbol": "USD", "public_mint": "no"}]),
+         "public_mint must be a boolean, got 'no'"),
+        (_minimal(tokens=[{"symbol": "USD", "fee": {"rate": 1, "direction": "sideways"}}]),
+         "direction must be to_pair or both"),
+        (_minimal(tokens=[{"symbol": "USD", "fee": {"rate": "1"}}]), "fee rate must be a uint"),
+        (_minimal(macros=[{"name": "m", "params": ["unit"], "calls": []}]),
+         "parameter type must be uint or address"),
+        (_minimal(macros=[{"name": "m", "params": ["uint", "uint"],
+                           "calls": [["USD", "approve", ["attacker", {"param": True}]]]}]),
+         "param index must be a uint, got True"),
+        (_minimal(victim_txs=[{"position": -1, "sender": "attacker", "target": "USD"}]),
+         "position must be a uint, got -1"),
+        (_minimal(victim_txs=[{"sender": "attacker", "target": "USD", "value": 1.0}]),
+         "value must be a uint, got 1.0"),
+        (_minimal(victim_txs=[{"sender": "attacker", "target": "USD", "fn": "approve",
+                               "args": ["attacker", 1.9]}]), "arg must be a uint, got 1.9"),
+        (_minimal(macros=[{"name": "m", "calls": []}, {"name": "m", "calls": []}]),
+         "duplicate macro name 'm'"),
+        (_minimal(macros=[{"name": "m", "calls": [["USD", "approve", ["attacker", 1], 2]]}]),
+         "call must be \\[target, fn\\]"),
+        (_minimal(tokens=[{"symbol": "USD", "holdings": {5: 10}}]), "unknown name 5"),
+        (_minimal(victim_txs=[{"sender": "attacker", "target": 5}]), "unknown name 5"),
     ],
 )
 def test_scenario_diagnostics(doc, message):
@@ -168,9 +207,9 @@ def test_merge_victim_txs_positions_and_flags():
         Transaction(sc.attacker, RawCall("b", "f", ())),
         Transaction(sc.attacker, RawCall("c", "f", ())),
     ]
-    txs, logical, flags = merge_victim_txs(attacker_txs, sc.victim_txs)
+    txs, logical = merge_victim_txs(attacker_txs, sc.victim_txs)
     # both victim transactions are declared at position 1
-    assert flags == [False, True, True, False, False]
+    assert [i < 0 for i in logical] == [False, True, True, False, False]
     assert logical == [0, -1, -1, 1, 2]
     assert txs[1].sender == sc.victims["victim"]
     assert [t.kind.fn for t in txs if not isinstance(t.kind, Transaction)][1:3] == [
@@ -182,7 +221,7 @@ def test_merge_victim_txs_positions_and_flags():
 def test_merge_victim_txs_appends_trailing_victims():
     sc = builtin_scenario("rounding_vault")
     one = [Transaction(sc.attacker, RawCall("a", "f", ()))]
-    txs, logical, flags = merge_victim_txs(one, sc.victim_txs)
-    assert flags == [False, True, True]
+    txs, logical = merge_victim_txs(one, sc.victim_txs)
+    assert [i < 0 for i in logical] == [False, True, True]
     assert logical == [0, -1, -1]
     assert len(txs) == 3
